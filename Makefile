@@ -33,16 +33,13 @@ bench:
 # timing collection disabled (fast, and robust on shared runners), plus
 # the 100k streaming throughput pin against BENCH_50545cc.json (within
 # 10% of the pre-kernel baseline; see benchmarks/test_bench_regression.py),
-# plus the recorded-trajectory diff: the newest committed BENCH_<rev>.json
-# must not regress requests/sec by more than 10% against the pre-kernel
-# baseline (python -m benchmarks.report --compare), and must carry all
-# four headline cells — the 100k streaming engine pass, the live wire
-# replay, the million-request fleet replay, and the kill-and-recover
-# chaos replay — so none can silently drop out of the trajectory.
+# plus a short end-to-end run of all five workloads at seed 0
+# (benchmarks/e2e), which exits 1 when any output check fails or any
+# seed-0 digest differs from benchmarks/e2e/digests.json.
 bench-check:
 	pytest tests/ -q
 	SPLIT_BENCH_PIN=1 pytest benchmarks/ -q --benchmark-disable
-	python -m benchmarks.report --compare BENCH_50545cc.json --require stream_100k,server_replay,fleet_1m,fleet_chaos
+	python3 benchmarks/e2e --seed 0 --seconds 3
 
 # The 100k streaming cell under cProfile (top-25 by cumulative time) —
 # the loop the fast-lane optimisation work is steered by. Accepts

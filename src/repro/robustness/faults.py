@@ -7,7 +7,8 @@ returns a :class:`FaultDecision` (or None for a clean run).
 
 Decisions are pure functions of ``(seed, task_type, arrival_ms,
 block_index, attempt)`` — hashed through the same BLAKE2b derivation the
-rest of the library uses (:func:`repro.utils.rng.derive_seed`) — so they do
+rest of the library uses (:func:`repro.utils.rng.derive_seed`, with its
+label path built inline on this hot path) — so they do
 not depend on request ids (a process-global counter) or on call order.
 Within the discrete-event engines, where arrival schedules are themselves
 seeded, two runs with the same plan therefore produce identical faults and
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from hashlib import blake2b
 
 from repro.errors import SimulationError
-from repro.utils.rng import derive_seed
 
 _MAX64 = float(1 << 64)
 
@@ -151,13 +152,12 @@ class FaultInjector:
         p_fail, p_stall, p_drop = plan.fail_rate, plan.stall_rate, plan.drop_rate
         if p_fail == p_stall == p_drop == 0.0:
             return None
-        u = (
-            derive_seed(
-                plan.seed, "fault", task_type, f"{arrival_ms:.9f}",
-                block_index, attempt,
-            )
-            / _MAX64
-        )
+        # Byte-identical to derive_seed(plan.seed, "fault", task_type,
+        # f"{arrival_ms:.9f}", block_index, attempt), minus its generic
+        # label join: this runs once per block attempt.
+        key = f"{plan.seed}:fault:{task_type}:{arrival_ms:.9f}:{block_index}:{attempt}"
+        digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
+        u = int.from_bytes(digest, "little") / _MAX64
         if u < p_fail:
             return self._count(FaultDecision(FaultKind.FAIL))
         if u < p_fail + p_stall:

@@ -88,8 +88,20 @@ class LoadShedder:
         the values — and therefore the victim order — are bit-identical
         to probing :meth:`headroom` per candidate, which costs a linear
         position scan each and made a shed event O(n^2)).
+
+        The trigger the victim loop breaks on is checked first: within
+        the limits nothing is scored or sorted, so the per-admission cost
+        is O(1) plus one backlog sum when ``max_backlog_ms`` is set.
         """
         cfg = self.config
+        max_depth = cfg.max_queue_depth
+        max_backlog = cfg.max_backlog_ms
+        depth = len(queue)
+        backlog = queue.total_backlog_ms() if max_backlog is not None else 0.0
+        if (max_depth is None or depth <= max_depth) and (
+            max_backlog is None or backlog <= max_backlog
+        ):
+            return []
         target_alpha = cfg.target_alpha
         ahead_ms = 0.0
         scored: list[tuple[float, Request]] = []
@@ -110,15 +122,9 @@ class LoadShedder:
         scored.sort(key=lambda pair: pair[0])
         candidates = [req for _headroom, req in scored]
         victims: list[Request] = []
-        depth = len(queue)
-        backlog = queue.total_backlog_ms() if cfg.max_backlog_ms is not None else 0.0
         for req in candidates:
-            over_depth = (
-                cfg.max_queue_depth is not None and depth > cfg.max_queue_depth
-            )
-            over_backlog = (
-                cfg.max_backlog_ms is not None and backlog > cfg.max_backlog_ms
-            )
+            over_depth = max_depth is not None and depth > max_depth
+            over_backlog = max_backlog is not None and backlog > max_backlog
             if not over_depth and not over_backlog:
                 break
             victims.append(req)

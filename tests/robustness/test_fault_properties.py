@@ -8,6 +8,8 @@ bookkeeping reconciles against the faults actually issued.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from repro.runtime.engine import SequentialEngine
 from repro.runtime.metrics import robustness_totals
 from repro.scheduling.policies import SplitScheduler
 from repro.scheduling.request import Request, TaskSpec
+from repro.utils.rng import derive_seed
 
 rates = st.floats(0.0, 0.3, allow_nan=False)
 
@@ -95,6 +98,47 @@ class TestInjectorProperties:
         assert all(
             inj.decide("m", float(i), i % 3, 0) is None for i in range(100)
         )
+
+
+#: Task names with the label separator in them, plus arbitrary encodable
+#: text (surrogates cannot be UTF-8 encoded by either derivation).
+task_names = st.one_of(
+    st.sampled_from(["m", ":", "a:b", "yolov2::0", ":fault:"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+arrival_times = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e9, allow_nan=False),
+    st.floats(1e9, 1e15, allow_nan=False, exclude_min=True),
+)
+
+
+class TestFaultKey:
+    """``decide`` inlines its hash key; the draw must stay the library's
+    :func:`derive_seed` over the same label path, bit for bit."""
+
+    @given(
+        st.integers(-(2**63), 2**63),
+        task_names,
+        arrival_times,
+        st.integers(0, 40),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_draw_equals_derive_seed(self, seed, task, arrival, block, attempt):
+        expected = (
+            derive_seed(seed, "fault", task, f"{arrival:.9f}", block, attempt)
+            / 2**64
+        )
+        # decide() fails the attempt iff its draw u < fail_rate, so a FAIL
+        # at nextafter(expected) and none at expected pin u == expected.
+        above = min(math.nextafter(expected, math.inf), 1.0)
+        hit = FaultInjector(FaultPlan(seed=seed, fail_rate=above))
+        decision = hit.decide(task, arrival, block, attempt)
+        assert decision is not None and decision.kind is FaultKind.FAIL
+        if expected > 0.0:
+            miss = FaultInjector(FaultPlan(seed=seed, fail_rate=expected))
+            assert miss.decide(task, arrival, block, attempt) is None
 
 
 class TestEngineConservation:

@@ -1,6 +1,10 @@
 """Unit tests for overload load shedding (repro.robustness.shedding)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.robustness import LoadShedConfig, LoadShedder
@@ -168,3 +172,65 @@ class TestSinglePassRegression:
                 shedder.config.target_alpha * req.task.target_ms - predicted
             ) / req.task.target_ms
             assert shedder.headroom(req, q, 1000.0) == expected
+
+
+@st.composite
+def shed_cases(draw):
+    """A queue of 0-80 requests, a trigger config sitting on, just under
+    or just over its limits, an ``exclude`` and a probe time."""
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.5, 60.0, allow_nan=False),
+                st.floats(0.0, 500.0, allow_nan=False),
+            ),
+            max_size=80,
+        )
+    )
+    q, reqs = make_queue(*((f"r{i}", ext, t) for i, (ext, t) in enumerate(items)))
+    n = len(reqs)
+    kind = draw(st.sampled_from(["depth", "backlog", "both"]))
+    depth_limit = backlog_limit = None
+    if kind in ("depth", "both"):
+        # n - 1 / n / n + 1 straddle the strict ``depth > limit`` trigger.
+        near = st.sampled_from([n - 1, n, n + 1])
+        depth_limit = max(1, draw(st.one_of(near, st.integers(1, 90))))
+    if kind in ("backlog", "both"):
+        total = q.total_backlog_ms()
+        mode = draw(
+            st.sampled_from(["equal", "ulp_over", "below", "above", "free"])
+        )
+        if mode == "equal" and total > 0.0:
+            backlog_limit = total  # exactly at the limit: not over it
+        elif mode == "ulp_over" and total > 0.0:
+            backlog_limit = math.nextafter(total, 0.0)  # over by one ulp
+        elif mode == "below" and total > 0.0:
+            backlog_limit = total * draw(st.floats(0.05, 0.999))
+        elif mode == "above":
+            backlog_limit = total + draw(st.floats(0.001, 100.0))
+        else:
+            backlog_limit = draw(st.floats(1.0, 3000.0))
+    exclude = draw(st.one_of(st.none(), st.sampled_from(reqs))) if reqs else None
+    now = draw(st.floats(0.0, 1000.0, allow_nan=False))
+    config = LoadShedConfig(
+        max_queue_depth=depth_limit, max_backlog_ms=backlog_limit
+    )
+    return q, config, exclude, now
+
+
+class TestTriggerGate:
+    """Checking the trigger before scoring must not change which requests
+    are shed, their order, or the shed counter."""
+
+    @given(shed_cases(), st.integers(0, 5))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_gated_matches_oracle(self, case, prior_sheds):
+        q, config, exclude, now = case
+        shedder = LoadShedder(config)
+        shedder.shed_count = prior_sheds
+        new = shedder.select_victims(q, now_ms=now, exclude=exclude)
+        old = _select_victims_quadratic(
+            LoadShedder(config), q, now_ms=now, exclude=exclude
+        )
+        assert [id(r) for r in new] == [id(r) for r in old]
+        assert shedder.shed_count - prior_sheds == len(old)
