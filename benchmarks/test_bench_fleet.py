@@ -47,7 +47,7 @@ def test_bench_fleet_1m(benchmark, ctx):
     # Re-sharding the same scenario must be byte-stable (the benchmark's
     # own determinism guard — a racy shard would quietly vary the work).
     assert result.digests == {
-        s.node: s.digest() for s in orch.shard(scenario)
+        s.node: s.digest() for s in orch.shard(scenario).shards
     }
     if benchmark.stats is not None:
         benchmark.extra_info["requests_per_sec"] = round(

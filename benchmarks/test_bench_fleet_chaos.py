@@ -66,7 +66,7 @@ def test_bench_fleet_chaos(benchmark, ctx):
     assert impaired == 10
     # Re-sharding under the same plan must stay byte-stable.
     assert result.digests == {
-        s.node: s.digest() for s in orch.shard(scenario)
+        s.node: s.digest() for s in orch.shard(scenario).shards
     }
     if benchmark.stats is not None:
         benchmark.extra_info["requests_per_sec"] = round(

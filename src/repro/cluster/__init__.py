@@ -13,7 +13,12 @@ from repro.cluster.inventory import (
     NodeClass,
     parse_inventory,
 )
-from repro.cluster.fleet import FleetOrchestrator, FleetResult, NodeShard
+from repro.cluster.fleet import (
+    FleetOrchestrator,
+    FleetResult,
+    NodeShard,
+    ShardPlan,
+)
 
 __all__ = [
     "DEFAULT_INVENTORY",
@@ -22,4 +27,5 @@ __all__ = [
     "FleetOrchestrator",
     "FleetResult",
     "NodeShard",
+    "ShardPlan",
 ]

@@ -121,6 +121,24 @@ class NodeShard:
 
 
 @dataclass(frozen=True)
+class ShardPlan:
+    """One scenario dealt across the fleet: everything
+    :meth:`FleetOrchestrator.replay` needs besides the deployed nodes."""
+
+    #: Per-node shards, in node order.
+    shards: list[NodeShard]
+    #: Requests placed off their model's home node, and the modeled
+    #: transfer time they paid.
+    transfer_hops: int
+    transfer_ms: float
+    #: Per-node fault timelines; None when every node stays healthy.
+    timelines: list[NodeTimeline] | None
+    #: Requests re-dealt off a down node, and the extra hand-off time.
+    re_routed: int
+    failover_ms: float
+
+
+@dataclass(frozen=True)
 class FleetResult:
     """Fleet-level QoS plus the determinism and transfer accounting."""
 
@@ -425,8 +443,6 @@ class FleetOrchestrator:
         #: Per-node class index, aligned with :attr:`nodes`.
         self._node_class: list[int] = []
         self._class_specs: list[dict[str, TaskSpec]] = []
-        self._last_timelines: list[NodeTimeline] | None = None
-        self._last_failover: tuple[int, float] = (0, 0.0)
 
     # ------------------------------------------------------------ deploy
     @property
@@ -517,7 +533,7 @@ class FleetOrchestrator:
         return timelines
 
     # ------------------------------------------------------------- shard
-    def shard(self, scenario: Scenario) -> list[NodeShard]:
+    def shard(self, scenario: Scenario) -> ShardPlan:
         """Deal the scenario's trace across the fleet (deterministic).
 
         Runs entirely in the calling process — no RNG beyond the seeded
@@ -698,8 +714,6 @@ class FleetOrchestrator:
                     load_by_node[best_idx] += local_ext[m][best_ci]
                     re_routed += 1
                     failover_ms += best_enqueue - e
-        self._last_timelines = timelines
-        self._last_failover = (re_routed, failover_ms)
 
         shards: list[NodeShard] = []
         for i in range(n_nodes):
@@ -718,8 +732,14 @@ class FleetOrchestrator:
                     model_idx=midx[order],
                 )
             )
-        self._last_transfer = (transfer_hops, transfer_ms)
-        return shards
+        return ShardPlan(
+            shards=shards,
+            transfer_hops=transfer_hops,
+            transfer_ms=transfer_ms,
+            timelines=timelines,
+            re_routed=re_routed,
+            failover_ms=failover_ms,
+        )
 
     # ------------------------------------------------------------ replay
     def replay(
@@ -737,10 +757,8 @@ class FleetOrchestrator:
         count; the shards themselves are parent-computed and byte-stable.
         """
         nodes = self.nodes
-        shards = self.shard(scenario)
-        transfer_hops, transfer_ms = self._last_transfer
-        timelines = self._last_timelines
-        re_routed, failover_ms = self._last_failover
+        plan = self.shard(scenario)
+        shards, timelines = plan.shards, plan.timelines
         grid = tuple(alphas_grid) if alphas_grid is not None else None
         payloads = []
         for i, (shard, ci) in enumerate(zip(shards, self._node_class)):
@@ -781,10 +799,10 @@ class FleetOrchestrator:
             n_requests=scenario.n_requests,
             placements={s.node: s.n_requests for s in shards},
             digests={s.node: s.digest() for s in shards},
-            transfer_hops=transfer_hops,
-            transfer_ms=transfer_ms,
+            transfer_hops=plan.transfer_hops,
+            transfer_ms=plan.transfer_ms,
             node_totals=tuple(node_totals),
-            re_routed=re_routed,
-            failover_ms=failover_ms,
+            re_routed=plan.re_routed,
+            failover_ms=plan.failover_ms,
             availability=availability,
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.errors import SimulationError
 from repro.hardware.contention import ContentionModel
@@ -46,24 +46,38 @@ from repro.scheduling.policies import (
     SJFScheduler,
     SplitScheduler,
 )
-from repro.scheduling.request import RequestPool
+from repro.scheduling.policies.base import Scheduler
+from repro.scheduling.request import RequestPool, TaskSpec
 from repro.splitting.elastic import ElasticSplitConfig
 from repro.splitting.genetic import GAConfig
 from repro.splitting.selection import choose_block_count
 from repro.types import RequestClass
 from repro.zoo.registry import EVALUATED_MODELS, get_model
 
-POLICIES = (
-    "split",
-    "clockwork",
-    "prema",
-    "rta",
-    "fifo",
-    "sjf",
-    "edf",
-    "roundrobin",
-    "reef",
-)
+#: policy -> (plan kind of its task catalogue, scheduler factory taking
+#: the elastic-splitting config). ``rta`` has no factory: it is the one
+#: policy that runs on the ConcurrentEngine.
+_POLICY_TABLE: dict[
+    str,
+    tuple[str, Callable[[ElasticSplitConfig | None], Scheduler] | None],
+] = {
+    "split": ("split", lambda elastic: SplitScheduler(elastic=elastic)),
+    "clockwork": ("vanilla", lambda _: ClockWorkScheduler()),
+    "prema": ("prema", lambda _: PremaScheduler()),
+    "rta": ("vanilla", None),
+    "fifo": ("vanilla", lambda _: FIFOScheduler()),
+    "sjf": ("vanilla", lambda _: SJFScheduler()),
+    "edf": ("split", lambda _: EDFScheduler()),
+    "roundrobin": ("split", lambda _: RoundRobinScheduler()),
+    # Kernel-level oracle (§6): operator-granularity preemption, no
+    # boundary cost, same greedy queue discipline as SPLIT.
+    "reef": (
+        "operator",
+        lambda _: SplitScheduler(elastic=ElasticSplitConfig(enabled=False)),
+    ),
+}
+
+POLICIES = tuple(_POLICY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -172,85 +186,55 @@ def warm_caches(
     default_split_plans(models, device_name, max_blocks, seed)
 
 
-def make_scheduler(policy: str, elastic: ElasticSplitConfig | None = None):
-    if policy == "split":
-        return SplitScheduler(elastic=elastic)
-    if policy == "clockwork":
-        return ClockWorkScheduler()
-    if policy == "prema":
-        return PremaScheduler()
-    if policy == "fifo":
-        return FIFOScheduler()
-    if policy == "sjf":
-        return SJFScheduler()
-    if policy == "edf":
-        return EDFScheduler()
-    if policy == "roundrobin":
-        return RoundRobinScheduler()
-    raise SimulationError(f"unknown sequential policy {policy!r}")
+def make_scheduler(
+    policy: str, elastic: ElasticSplitConfig | None = None
+) -> Scheduler:
+    """The queue discipline of a policy that runs on a SequentialEngine."""
+    factory = _POLICY_TABLE.get(policy, ("", None))[1]
+    if factory is None:
+        raise SimulationError(f"unknown sequential policy {policy!r}")
+    return factory(elastic)
 
 
-def _specs_and_engine(
+def _prepare(
     policy: str,
-    profiles: Mapping[str, ModelProfile],
-    classes: dict[str, RequestClass],
-    device: DeviceSpec,
-    split_plans: Mapping[str, tuple[float, ...]],
+    models: tuple[str, ...],
+    device: DeviceSpec | None,
+    split_plans: Mapping[str, tuple[float, ...]] | None,
     elastic: ElasticSplitConfig | None,
     keep_trace: bool,
     alphas: dict[str, float] | None,
-    robustness: RobustnessConfig | None = None,
-):
-    """Policy -> (task catalogue, engine) dispatch shared by
-    :func:`simulate` and :func:`simulate_items`."""
-    if policy not in POLICIES:
+    robustness: RobustnessConfig | None,
+) -> tuple[
+    dict[str, TaskSpec],
+    SequentialEngine | ConcurrentEngine,
+    Mapping[str, tuple[float, ...]],
+]:
+    """The set-up every entry point shares: resolve the device, profiles,
+    request classes and split plans, then build the policy's task
+    catalogue and engine. Returns ``(specs, engine, split_plans)``."""
+    if policy not in _POLICY_TABLE:
         raise SimulationError(f"unknown policy {policy!r}; one of {POLICIES}")
-    if policy == "rta":
-        specs = build_task_specs(
-            profiles, plan_kind="vanilla", request_classes=classes, alphas=alphas
-        )
-        engine: SequentialEngine | ConcurrentEngine = ConcurrentEngine(
-            ContentionModel(device), robustness=robustness
-        )
-    elif policy == "prema":
-        specs = build_task_specs(
-            profiles, plan_kind="prema", request_classes=classes, alphas=alphas
-        )
+    device = device or jetson_nano()
+    profiles = _profiles_for(models, device.name)
+    if split_plans is None:
+        split_plans = default_split_plans(models, device.name)
+    plan_kind, factory = _POLICY_TABLE[policy]
+    specs = build_task_specs(
+        profiles,
+        split_plans=split_plans,
+        plan_kind=plan_kind,
+        request_classes=_request_classes(models),
+        alphas=alphas,
+    )
+    engine: SequentialEngine | ConcurrentEngine
+    if factory is None:
+        engine = ConcurrentEngine(ContentionModel(device), robustness=robustness)
+    else:
         engine = SequentialEngine(
-            make_scheduler(policy), keep_trace=keep_trace, robustness=robustness
+            factory(elastic), keep_trace=keep_trace, robustness=robustness
         )
-    elif policy == "reef":
-        # Kernel-level oracle (§6): operator-granularity preemption, no
-        # boundary cost, same greedy queue discipline as SPLIT.
-        specs = build_task_specs(
-            profiles, plan_kind="operator", request_classes=classes, alphas=alphas
-        )
-        engine = SequentialEngine(
-            SplitScheduler(elastic=ElasticSplitConfig(enabled=False)),
-            keep_trace=keep_trace,
-            robustness=robustness,
-        )
-    elif policy in ("split", "edf", "roundrobin"):
-        specs = build_task_specs(
-            profiles,
-            split_plans=split_plans,
-            plan_kind="split",
-            request_classes=classes,
-            alphas=alphas,
-        )
-        engine = SequentialEngine(
-            make_scheduler(policy, elastic=elastic),
-            keep_trace=keep_trace,
-            robustness=robustness,
-        )
-    else:  # clockwork, fifo, sjf: whole-model plans
-        specs = build_task_specs(
-            profiles, plan_kind="vanilla", request_classes=classes, alphas=alphas
-        )
-        engine = SequentialEngine(
-            make_scheduler(policy), keep_trace=keep_trace, robustness=robustness
-        )
-    return specs, engine
+    return specs, engine, split_plans
 
 
 def _run(
@@ -265,14 +249,9 @@ def _run(
     alphas: dict[str, float] | None,
     robustness: RobustnessConfig | None = None,
 ) -> SimulationResult:
-    device = device or jetson_nano()
-    profiles = _profiles_for(models, device.name)
-    classes = _request_classes(models)
-    if split_plans is None:
-        split_plans = default_split_plans(models, device.name)
-    specs, engine = _specs_and_engine(
-        policy, profiles, classes, device, split_plans, elastic, keep_trace,
-        alphas, robustness,
+    specs, engine, split_plans = _prepare(
+        policy, models, device, split_plans, elastic, keep_trace, alphas,
+        robustness,
     )
     arrivals = materialize_requests(items, specs)
     engine_result = engine.run(arrivals)
@@ -308,8 +287,6 @@ def simulate(
     preemption rule); ``robustness`` enables fault injection, timeouts,
     retries and load shedding (see :mod:`repro.robustness`).
     """
-    if policy not in POLICIES:
-        raise SimulationError(f"unknown policy {policy!r}; one of {POLICIES}")
     items = WorkloadGenerator(models, seed=seed).generate(scenario)
     return _run(
         policy, scenario, items, models, device, split_plans, elastic,
@@ -357,14 +334,9 @@ def simulate_stream(
             "policy 'rta' runs on the concurrent engine, which is not "
             "streamable; use simulate()"
         )
-    device = device or jetson_nano()
-    profiles = _profiles_for(models, device.name)
-    classes = _request_classes(models)
-    if split_plans is None:
-        split_plans = default_split_plans(models, device.name)
-    specs, engine = _specs_and_engine(
-        policy, profiles, classes, device, split_plans, elastic, keep_trace,
-        alphas, robustness,
+    specs, engine, split_plans = _prepare(
+        policy, models, device, split_plans, elastic, keep_trace, alphas,
+        robustness,
     )
     assert isinstance(engine, SequentialEngine)
     if qos is None:

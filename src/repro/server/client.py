@@ -410,7 +410,20 @@ class AsyncNetClient:
             plan_ms=plan,
         )
 
-    def _record(self, result: WireResult) -> None:
+    def _settle(self, result: WireResult) -> None:
+        """The one infer settlement, for both codecs: drop a late reply
+        to a deadline-expired request; otherwise resolve its waiter (or
+        count it against the untracked submissions) and record it in
+        ``received``."""
+        if result.id in self._expired:
+            self._expired.discard(result.id)
+            return
+        entry = self._pop_waiter(result.id)
+        if entry is not None:
+            if not entry[1].done():
+                entry[1].set_result(result)
+        elif self._untracked:
+            self._untracked -= 1
         self.received.append(result)
         if (
             self._received_target is not None
@@ -418,44 +431,30 @@ class AsyncNetClient:
         ):
             self._received_event.set()
 
-    def _settle_record(self, record: tuple) -> None:
-        result = self._result_from_record(record)
-        if result.id in self._expired:
-            # Late reply to a deadline-expired request: drop it.
-            self._expired.discard(result.id)
-            return
-        self._record(result)
-        entry = self._pop_waiter(result.id)
-        if entry is not None:
-            if not entry[1].done():
-                entry[1].set_result(result)
-        elif self._untracked:
-            self._untracked -= 1
-
     def _on_frame(self, ftype: FrameType, payload: Any) -> None:
         if isinstance(payload, tuple):  # binary RESULT record
-            self._settle_record(payload)
+            self._settle(self._result_from_record(payload))
             return
         if isinstance(payload, list):  # binary RESULT_BATCH records
             for record in payload:
-                self._settle_record(record)
+                self._settle(self._result_from_record(record))
             return
         cid = payload.get("id")
-        if cid is not None and cid in self._expired:
-            # Late reply to a deadline-expired request: drop it.
-            self._expired.discard(cid)
+        entry = self._waiters.get(cid) if cid is not None else None
+        # A JSON RESULT/ERROR answers an infer when its id is a tracked
+        # infer, or is no waiter but may be an untracked or expired one.
+        if (
+            ftype in (FrameType.RESULT, FrameType.ERROR)
+            and cid is not None
+            and (
+                entry[0] == "infer"
+                if entry is not None
+                else self._untracked or cid in self._expired
+            )
+        ):
+            self._settle(_result_from_payload(ftype, payload))
             return
-        entry = self._pop_waiter(cid) if cid is not None else None
         if entry is None:
-            if (
-                cid is not None
-                and self._untracked
-                and ftype in (FrameType.RESULT, FrameType.ERROR)
-            ):
-                # Reply to an untracked submission: record, don't demux.
-                self._untracked -= 1
-                self._record(_result_from_payload(ftype, payload))
-                return
             if ftype is FrameType.ERROR:
                 # Connection-level error (id None or unknown): poison.
                 self._fail_all(
@@ -464,13 +463,8 @@ class AsyncNetClient:
                     )
                 )
             return
+        self._pop_waiter(cid)
         kind, fut = entry
-        if kind == "infer" and ftype in (FrameType.RESULT, FrameType.ERROR):
-            result = _result_from_payload(ftype, payload)
-            self._record(result)
-            if not fut.done():
-                fut.set_result(result)
-            return
         if kind == "hello":
             if ftype is FrameType.ACK:
                 # The ACK is the last frame of its codec: the client

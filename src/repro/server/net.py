@@ -19,6 +19,16 @@ the protocol:
   timed-out verdicts — which is what the differential suite pins. A
   drain frame closes the arrival stream and runs the system dry.
 
+Each direction has one path, whatever the codec or mode. On the way in,
+every infer (a binary record, a JSON frame, a JSON batch item) becomes a
+``(cid, model, arrival_ms, echo)`` record, and one intake (``_admit``)
+checks backpressure, the model, the lockstep stamp and its ordering, in
+that precedence, before submitting the accepted records together. On the
+way out, every outcome (a result, an unhappy terminal, a refusal)
+becomes one reply record, and the connection renders its records in its
+codec: packed RESULT_BATCH frames on binary, one RESULT/ERROR frame per
+record on JSON. Echo rides the one in-flight ledger in both modes.
+
 The hot path is batched end to end: INFER_BATCH frames land as whole
 arrival chunks on the lockstep engine's intake (driving the kernel's
 fault-free fast lane through ``bulk_admit``), terminal settlement goes
@@ -41,7 +51,7 @@ Robustness composes in both modes: a
 :class:`~repro.robustness.RobustnessConfig` arms fault injection,
 deadline eviction, retries and load shedding, and the unhappy outcomes
 travel back over the wire as typed ERROR frames (JSON) or tagged result
-records (binary).
+records (binary), like the refusals.
 
 Backpressure is connection-level and bounded everywhere: each connection
 owns a bounded outbound queue drained by one writer task (a slow reader
@@ -71,12 +81,13 @@ from repro.server.protocol import (
     CODECS,
     ERR_BACKPRESSURE,
     ERR_BAD_STATE,
+    ERR_FAILED,
     ERR_OUT_OF_ORDER,
     ERR_PROTOCOL,
     ERR_UNKNOWN_MODEL,
-    OUTCOME_CODES,
     RESULT_HEAD,
     TAG_BY_OUTCOME,
+    TAG_OUTCOMES,
     BinaryCodecV2,
     FrameDecoder,
     FrameType,
@@ -175,25 +186,15 @@ class _LockstepCore:
     def start(self) -> None:
         self._thread.start()
 
-    # Called from the event loop only (no awaits between check and
-    # submit), so check/submit pairs are atomic.
-    def check(self, arrival_ms: float) -> str | None:
-        """Admissibility of an arrival stamp; an error code, or None."""
-        with self._lock:
-            if self._finished:
-                return ERR_BAD_STATE
-            if arrival_ms < self._last_ms:
-                return ERR_OUT_OF_ORDER
-        return None
-
     @property
     def last_ms(self) -> float:
         with self._lock:
             return self._last_ms
 
     def submit_chunk(self, times: list[float], requests: list[Request]) -> None:
-        """Enqueue a time-ordered arrival chunk (caller pre-checked every
-        stamp against :meth:`check` / the previous item of the chunk)."""
+        """Enqueue a time-ordered arrival chunk (the caller checked every
+        stamp against :attr:`last_ms` and the previous item of the chunk,
+        with no await in between)."""
         with self._lock:
             if self._finished or times[0] < self._last_ms:
                 raise ServerError("lockstep submit after check went stale")
@@ -397,12 +398,17 @@ class _Connection:
         self.closed = False
         self.decoder = FrameDecoder()
         self.binary = False
-        #: HELLO-time snapshot: index -> (name, spec), name -> index.
-        self.model_names: list[str] = []
-        self.model_specs: list[TaskSpec] = []
+        #: HELLO-time snapshot: index -> spec, name -> index.
+        self.model_specs: dict[int, TaskSpec] = {}
         self.model_idx: dict[str, int] = {}
         self.lane: _Lane | None = None
-        self._echo: dict[int, Any] = {}
+
+    def render(self, records: list[tuple]) -> list[bytes]:
+        """Reply records as frames in this connection's codec — the one
+        reply renderer, for results and refusals alike."""
+        if self.binary:
+            return _packed_result_frames(records, self.model_idx)
+        return _json_result_frames(records)
 
     def send(self, ftype: FrameType, payload: dict[str, Any]) -> bool:
         """Encode one control frame with the connection's codec and
@@ -426,13 +432,6 @@ class _Connection:
             return False
         self.shard.frames_out += 1
         return True
-
-    def note_echo(self, cid: int, echo: Any) -> None:
-        if echo is not None:
-            self._echo[cid] = echo
-
-    def take_echo(self, cid: int) -> Any:
-        return self._echo.pop(cid, None)
 
     async def writer_loop(self) -> None:
         """Drain the outbound queue, coalescing every frame already
@@ -465,21 +464,90 @@ class _Connection:
             self.closed = True
 
 
-def _packed_result_frames(records: list[tuple]) -> list[bytes]:
-    """Pack result records into RESULT_BATCH frames under a size budget."""
+# Reply records: one per infer outcome, whichever codec carries it —
+# ``(cid, tag, model, arrival_ms, finish_ms, e2e_ms, response_ratio,
+#    preemptions, retries, plan_ms | None, echo)``. ``model`` is the task
+# name, or the client's raw table index when a binary record names no
+# deployed model; unhappy records carry NaN in the derived-time fields.
+def _reply_record(
+    cid: int, echo: Any, request: Request, outcome: str, result: Any
+) -> tuple:
+    """The reply record for one settled request."""
+    if result is not None:
+        return (
+            cid, 0, result.model, result.arrival_ms, result.finish_ms,
+            result.e2e_ms, result.response_ratio, result.preemptions,
+            result.retries, request.plan_ms, echo,
+        )
+    return (
+        cid, TAG_BY_OUTCOME[outcome], request.task_type, request.arrival_ms,
+        _NAN, _NAN, _NAN, 0, request.retries, request.plan_ms, echo,
+    )
+
+
+def _refusal_record(
+    cid: int, tag: int, model: Any, arrival_ms: float, echo: Any
+) -> tuple:
+    """The reply record for an infer refused before admission."""
+    return (cid, tag, model, arrival_ms, _NAN, _NAN, _NAN, 0, 0, None, echo)
+
+
+def _packed_result_frames(
+    records: list[tuple], model_idx: dict[str, int]
+) -> list[bytes]:
+    """Binary rendering: RESULT_BATCH frames under a size budget, model
+    names mapped through the connection's HELLO-time table (echo stays
+    on the JSON codec)."""
     frames: list[bytes] = []
     batch: list[tuple] = []
     size = 4
-    for record in records:
-        plan = record[9]
+    for cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan, _ in records:
+        if type(model) is not int:
+            model = model_idx.get(model, MODEL_IDX_UNKNOWN)
         record_size = RESULT_HEAD.size + (8 * len(plan) if plan else 0)
         if batch and size + record_size > _BATCH_FRAME_BYTES:
             frames.append(BinaryCodecV2.encode_result_batch(batch))
             batch, size = [], 4
-        batch.append(record)
+        batch.append(
+            (cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan)
+        )
         size += record_size
     if batch:
         frames.append(BinaryCodecV2.encode_result_batch(batch))
+    return frames
+
+
+def _json_result_frames(records: list[tuple]) -> list[bytes]:
+    """JSON rendering: one RESULT or ERROR frame per record. An ERROR
+    omits a NaN ``arrival_ms`` (an infer refused before it had a stamp):
+    JSON has no NaN."""
+    frames: list[bytes] = []
+    for cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan, echo in records:
+        plan_ms = list(plan) if plan is not None else None
+        payload: dict[str, Any]
+        if tag == 0:
+            ftype = FrameType.RESULT
+            payload = {
+                "id": cid,
+                "model": model,
+                "arrival_ms": arrival,
+                "finish_ms": finish,
+                "e2e_ms": e2e,
+                "response_ratio": rr,
+                "preemptions": preempt,
+                "retries": retries,
+                "plan_ms": plan_ms,
+            }
+        else:
+            ftype = FrameType.ERROR
+            payload = {"id": cid, "code": TAG_OUTCOMES[tag], "model": model}
+            if arrival == arrival:
+                payload["arrival_ms"] = arrival
+            payload["retries"] = retries
+            payload["plan_ms"] = plan_ms
+        if echo is not None:
+            payload["echo"] = echo
+        frames.append(encode_frame(ftype, payload))
     return frames
 
 
@@ -541,11 +609,12 @@ class NetServer:
         )
         self._core: _LockstepCore | None = None
         self._merger: _LaneMerger | None = None
-        #: request_id -> (connection, correlation id, echo) for every
-        #: lockstep request in flight; written by connection loops,
-        #: consumed by the engine thread's settlement (per-op dict access
-        #: is GIL-atomic and keys never collide).
-        self._pending: dict[int, tuple[_Connection, int, Any]] = {}
+        #: request_id -> (connection, correlation id, echo, request) for
+        #: every admitted wire request in flight, in both modes; written
+        #: by connection loops, consumed by whichever thread settles the
+        #: request (per-op dict access is GIL-atomic and keys never
+        #: collide).
+        self._pending: dict[int, tuple[_Connection, int, Any, Request]] = {}
         if mode == "lockstep":
             self._core = _LockstepCore(
                 SequentialEngine(SplitScheduler(), robustness=robustness),
@@ -870,15 +939,24 @@ class NetServer:
         self, conn: _Connection, ftype: FrameType, payload: Any
     ) -> bool:
         """Handle one client frame; False closes the connection."""
+        # Both codecs' infers become (cid, model, arrival_ms, echo)
+        # intake records here: binary records name the model by HELLO
+        # table index (NaN arrival = no stamp), JSON items by task name.
         if ftype is FrameType.INFER:
             if isinstance(payload, tuple):
-                self._handle_infer_records(conn, [payload])
+                self._admit(conn, [(*payload, None)], conn.model_specs)
             else:
-                self._handle_infer(conn, payload)
+                record = self._json_record(conn, payload)
+                if record is not None:
+                    self._admit(conn, [record], self.split.specs)
             return True
         if ftype is FrameType.INFER_BATCH:
             if isinstance(payload, list):
-                self._handle_infer_records(conn, payload)
+                self._admit(
+                    conn,
+                    [(cid, midx, arrival, None) for cid, midx, arrival in payload],
+                    conn.model_specs,
+                )
                 return True
             items = payload.get("items")
             if not isinstance(items, list):
@@ -888,15 +966,17 @@ class NetServer:
                     "infer_batch frame needs an items list",
                 )
                 return True
-            # The JSON batch is a compatibility wrapper: items process
-            # exactly like individual INFER frames, in order.
+            records = []
             for item in items:
-                if isinstance(item, dict):
-                    self._handle_infer(conn, item)
-                else:
+                if not isinstance(item, dict):
                     self._protocol_nack(
                         conn, None, "infer_batch items must be objects"
                     )
+                    continue
+                record = self._json_record(conn, item)
+                if record is not None:
+                    records.append(record)
+            self._admit(conn, records, self.split.specs)
             return True
         if ftype is FrameType.HELLO:
             self._handle_hello(conn, payload)
@@ -949,13 +1029,12 @@ class NetServer:
             # rule: JSON-era clients never negotiate and never break).
             self._protocol_nack(conn, cid, f"unknown codec {name!r}")
             return
-        specs_by_name = self.split.deployment.task_specs()
+        specs_by_name = self.split.specs
         names = sorted(specs_by_name)
         conn.send(
             FrameType.ACK, {"id": cid, "codec": codec.name, "models": names}
         )
-        conn.model_names = names
-        conn.model_specs = [specs_by_name[n] for n in names]
+        conn.model_specs = {i: specs_by_name[n] for i, n in enumerate(names)}
         conn.model_idx = {n: i for i, n in enumerate(names)}
         conn.binary = isinstance(codec, BinaryCodecV2)
         conn.decoder.set_codec(codec)
@@ -988,245 +1067,150 @@ class NetServer:
             conn.lane.last_ms = times[-1]
             conn.lane.put_chunk(times, requests)
 
-    def _handle_infer(self, conn: _Connection, payload: dict[str, Any]) -> None:
-        """JSON infer. Synchronous on purpose: no await between admission
-        checks and submission, so frame order on one connection is
-        submission order."""
-        cid = payload.get("id")
+    def _json_record(
+        self, conn: _Connection, item: dict[str, Any]
+    ) -> tuple[int, str, float, Any] | None:
+        """A JSON infer (frame or batch item) as an intake record; None
+        after a protocol nack when its id or model is malformed. A stamp
+        that is not a number becomes NaN, i.e. "no stamp"."""
+        cid = item.get("id")
         if not isinstance(cid, int):
             self._protocol_nack(conn, None, "infer frame needs an integer id")
-            return
-        model = payload.get("model")
+            return None
+        model = item.get("model")
         if not isinstance(model, str):
             self._protocol_nack(conn, cid, "infer frame needs a model name")
-            return
-        if conn.inflight >= self.max_inflight:
-            conn.shard.backpressure_rejections += 1
-            nack: dict[str, Any] = {
-                "id": cid,
-                "code": ERR_BACKPRESSURE,
-                "model": model,
-            }
-            if payload.get("echo") is not None:
-                nack["echo"] = payload["echo"]
-            conn.send(FrameType.ERROR, nack)
-            return
-        if self.mode == "lockstep":
-            arrival = payload.get("arrival_ms")
-            if not isinstance(arrival, (int, float)) or isinstance(
-                arrival, bool
-            ) or arrival < 0:
-                self._protocol_nack(
-                    conn, cid, "lockstep infer needs a nonnegative arrival_ms"
-                )
-                return
-            arrival = float(arrival)
-            last = self._lockstep_last_ms(conn)
-            code = (
-                ERR_BAD_STATE
-                if last is None
-                else (ERR_OUT_OF_ORDER if arrival < last else None)
-            )
-            if code is not None:
-                conn.send(
-                    FrameType.ERROR,
-                    {
-                        "id": cid,
-                        "code": code,
-                        "model": model,
-                        "arrival_ms": arrival,
-                    },
-                )
-                return
-        else:
-            arrival = self.split.clock.now_ms()
-        try:
-            request = self.split.wrap(model, arrival)
-        except ReproError:
-            conn.send(
-                FrameType.ERROR,
-                {"id": cid, "code": ERR_UNKNOWN_MODEL, "model": model},
-            )
-            return
-        conn.inflight += 1
-        if self.mode == "lockstep":
-            self._pending[request.request_id] = (conn, cid, payload.get("echo"))
-            self._submit_lockstep(conn, [arrival], [request])
-        else:
-            conn.note_echo(cid, payload.get("echo"))
-            handle = self.split.submit_wrapped(request, arrival)
-            handle.add_done_callback(
-                lambda h, conn=conn, cid=cid: self._bridge(conn, cid, h)
-            )
+            return None
+        arrival = item.get("arrival_ms")
+        if isinstance(arrival, bool) or not isinstance(arrival, (int, float)):
+            arrival = _NAN
+        return cid, model, float(arrival), item.get("echo")
 
-    def _handle_infer_records(
-        self, conn: _Connection, records: list[tuple]
+    def _admit(
+        self,
+        conn: _Connection,
+        records: list[tuple[int, Any, float, Any]],
+        specs: dict[Any, TaskSpec],
     ) -> None:
-        """Binary INFER / INFER_BATCH: ``(cid, model_idx, arrival_ms)``
-        records. Per-record refusals (backpressure, unknown model,
-        out-of-order) come back as tagged result records; accepted
-        lockstep records land on the engine intake as one chunk."""
+        """The one infer intake, for both codecs and both modes.
+
+        ``records`` are ``(cid, model, arrival_ms, echo)``; ``specs``
+        resolves ``model`` (the HELLO table on binary, the deployed
+        catalogue by name on JSON). Refusals take this precedence:
+        backpressure, unknown model, a bad lockstep stamp (a protocol
+        nack), then bad_state / out_of_order; they come back as reply
+        records. Accepted records enter the ledger and are submitted
+        together: one lockstep intake chunk, or one realtime batch.
+        Synchronous on purpose: no await between the checks and the
+        submission, so frame order on one connection is submission order.
+        """
+        if not records:
+            return
         shard = conn.shard
-        specs = conn.model_specs
         cap = self.max_inflight
         inflight = conn.inflight
-        nacks: list[tuple] = []
-        if self.mode == "lockstep":
-            times: list[float] = []
-            requests: list[Request] = []
-            cids: list[int] = []
+        lockstep = self._core is not None
+        if lockstep:
             last = self._lockstep_last_ms(conn)
-            for cid, midx, arrival in records:
-                if inflight >= cap:
-                    shard.backpressure_rejections += 1
-                    nacks.append(
-                        (cid, _TAG_BACKPRESSURE, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if midx >= len(specs):
-                    nacks.append(
-                        (cid, _TAG_UNKNOWN_MODEL, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if arrival != arrival or arrival < 0:  # NaN needs a stamp
+        else:
+            now = self.split.clock.now_ms()
+        pending = self._pending
+        refused: list[tuple] = []
+        times: list[float] = []
+        requests: list[Request] = []
+        for cid, model, arrival, echo in records:
+            if not lockstep:
+                arrival = now
+            if inflight >= cap:
+                shard.backpressure_rejections += 1
+                refused.append(
+                    _refusal_record(cid, _TAG_BACKPRESSURE, model, arrival, echo)
+                )
+                continue
+            spec = specs.get(model)
+            if spec is None:
+                refused.append(
+                    _refusal_record(cid, _TAG_UNKNOWN_MODEL, model, arrival, echo)
+                )
+                continue
+            if lockstep:
+                if arrival != arrival or arrival < 0:  # NaN: no stamp
                     self._protocol_nack(
-                        conn,
-                        cid,
-                        "lockstep infer needs a nonnegative arrival_ms",
+                        conn, cid, "lockstep infer needs a nonnegative arrival_ms"
                     )
                     continue
                 if last is None or arrival < last:
-                    tag = (
-                        _TAG_BAD_STATE if last is None else _TAG_OUT_OF_ORDER
-                    )
-                    nacks.append(
-                        (cid, tag, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
+                    tag = _TAG_BAD_STATE if last is None else _TAG_OUT_OF_ORDER
+                    refused.append(
+                        _refusal_record(cid, tag, model, arrival, echo)
                     )
                     continue
                 last = arrival
-                inflight += 1
-                times.append(arrival)
-                requests.append(Request(task=specs[midx], arrival_ms=arrival))
-                cids.append(cid)
-            conn.inflight = inflight
-            if times:
-                pending = self._pending
-                for request, cid in zip(requests, cids):
-                    pending[request.request_id] = (conn, cid, None)
+            inflight += 1
+            request = Request(task=spec, arrival_ms=arrival)
+            pending[request.request_id] = (conn, cid, echo, request)
+            times.append(arrival)
+            requests.append(request)
+        conn.inflight = inflight
+        if requests:
+            if lockstep:
                 self._submit_lockstep(conn, times, requests)
-        else:
-            accepted: list[Request] = []
-            acc_cids: list[int] = []
-            now = self.split.clock.now_ms()
-            for cid, midx, arrival in records:
-                if inflight >= cap:
-                    shard.backpressure_rejections += 1
-                    nacks.append(
-                        (cid, _TAG_BACKPRESSURE, midx, now,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if midx >= len(specs):
-                    nacks.append(
-                        (cid, _TAG_UNKNOWN_MODEL, midx, now,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                inflight += 1
-                accepted.append(Request(task=specs[midx], arrival_ms=now))
-                acc_cids.append(cid)
-            conn.inflight = inflight
-            if accepted:
-                handles = self.split.submit_batch(accepted, now)
-                for handle, cid in zip(handles, acc_cids):
-                    handle.add_done_callback(
-                        lambda h, conn=conn, cid=cid: self._bridge(conn, cid, h)
-                    )
-        if nacks:
-            for frame in _packed_result_frames(nacks):
+            else:
+                deliver = self._deliver_handle
+                for handle in self.split.submit_batch(requests, now):
+                    handle.add_done_callback(deliver)
+        if refused:
+            for frame in conn.render(refused):
                 conn.send_bytes(frame)
 
-    # -- lockstep settlement ----------------------------------------------
+    # -- settlement ----------------------------------------------------------
     def _settle_lockstep(
         self, requests: list[Request], outcomes: list[str]
     ) -> None:
         """Terminal sink (engine thread): batched responder settlement,
-        reply frames encoded off the event loop, one loop hop per shard
-        loop per sink batch."""
-        results = self.split.responder.settle_batch(requests, outcomes)
+        then the shared reply path."""
+        self._deliver(
+            requests, outcomes, self.split.responder.settle_batch(requests, outcomes)
+        )
+
+    def _deliver_handle(self, handle: InferenceHandle) -> None:
+        """Realtime handle resolution (any thread): the shared reply path."""
+        self._deliver([handle._request], [handle.outcome], [handle.result_or_none])
+
+    def _deliver(
+        self, requests: list[Request], outcomes: list[str], results: list[Any]
+    ) -> None:
+        """The one reply path for admitted requests, in both modes: take
+        each request's ledger entry, build its reply record, and post."""
         pending = self._pending
-        # conn -> (json frame list) or (binary record list), in terminal
-        # order; per-connection frame order is the determinism contract.
-        json_frames: dict[_Connection, list[bytes]] = {}
-        bin_records: dict[_Connection, list[tuple]] = {}
-        counts: dict[_Connection, int] = {}
+        # Per-connection records in terminal order: per-connection frame
+        # order is the determinism contract.
+        replies: dict[_Connection, list[tuple]] = {}
         for request, outcome, result in zip(requests, outcomes, results):
             entry = pending.pop(request.request_id, None)
             if entry is None:
                 continue
-            conn, cid, echo = entry
-            counts[conn] = counts.get(conn, 0) + 1
-            plan = request.plan_ms
-            if conn.binary:
-                midx = conn.model_idx.get(
-                    request.task_type, MODEL_IDX_UNKNOWN
-                )
-                if result is not None:
-                    record = (
-                        cid, 0, midx,
-                        result.arrival_ms, result.finish_ms,
-                        result.e2e_ms, result.response_ratio,
-                        result.preemptions, result.retries, plan,
-                    )
-                else:
-                    record = (
-                        cid, TAG_BY_OUTCOME[outcome], midx,
-                        request.arrival_ms, _NAN, _NAN, _NAN,
-                        0, request.retries, plan,
-                    )
-                bin_records.setdefault(conn, []).append(record)
+            conn, cid, echo, _ = entry
+            record = _reply_record(cid, echo, request, outcome, result)
+            records = replies.get(conn)
+            if records is None:
+                replies[conn] = [record]
             else:
-                if result is not None:
-                    payload: dict[str, Any] = {
-                        "id": cid,
-                        "model": result.model,
-                        "arrival_ms": result.arrival_ms,
-                        "finish_ms": result.finish_ms,
-                        "e2e_ms": result.e2e_ms,
-                        "response_ratio": result.response_ratio,
-                        "preemptions": result.preemptions,
-                        "retries": result.retries,
-                        "plan_ms": list(plan) if plan is not None else None,
-                    }
-                    if echo is not None:
-                        payload["echo"] = echo
-                    frame = encode_frame(FrameType.RESULT, payload)
-                else:
-                    payload = {
-                        "id": cid,
-                        "code": OUTCOME_CODES.get(outcome, outcome),
-                        "model": request.task_type,
-                        "arrival_ms": request.arrival_ms,
-                        "retries": request.retries,
-                        "plan_ms": list(plan) if plan is not None else None,
-                    }
-                    if echo is not None:
-                        payload["echo"] = echo
-                    frame = encode_frame(FrameType.ERROR, payload)
-                json_frames.setdefault(conn, []).append(frame)
-        # One call_soon_threadsafe per shard loop per sink batch.
+                records.append(record)
+        self._post(replies)
+
+    def _post(self, replies: dict[_Connection, list[tuple]]) -> None:
+        """Render each connection's reply records on the calling thread
+        (off the event loop), then hand the frames over with one
+        call_soon_threadsafe per shard loop."""
         by_loop: dict[
             asyncio.AbstractEventLoop,
             list[tuple[_Connection, list[bytes], int]],
         ] = {}
-        for conn, count in counts.items():
-            frames = json_frames.get(conn)
-            if frames is None:
-                frames = _packed_result_frames(bin_records[conn])
-            by_loop.setdefault(conn.loop, []).append((conn, frames, count))
+        for conn, records in replies.items():
+            by_loop.setdefault(conn.loop, []).append(
+                (conn, conn.render(records), len(records))
+            )
         for loop, entries in by_loop.items():
             try:
                 loop.call_soon_threadsafe(self._flush_deliveries, entries)
@@ -1248,88 +1232,14 @@ class NetServer:
 
     def _abort_lockstep(self) -> None:
         """Engine crash: no request may hang — every pending wire request
-        gets a terminal ``failed`` error frame (JSON-bodied in both
-        codecs; clients decode ERROR frames under either)."""
+        gets a terminal ``failed`` reply in its connection's codec."""
         pending, self._pending = self._pending, {}
-        by_loop: dict[
-            asyncio.AbstractEventLoop,
-            list[tuple[_Connection, list[bytes], int]],
-        ] = {}
-        for _rid, (conn, cid, echo) in pending.items():
-            payload: dict[str, Any] = {"id": cid, "code": "failed"}
-            if echo is not None:
-                payload["echo"] = echo
-            frame = conn.decoder.codec.encode(FrameType.ERROR, payload)
-            by_loop.setdefault(conn.loop, []).append((conn, [frame], 1))
-        for loop, entries in by_loop.items():
-            try:
-                loop.call_soon_threadsafe(self._flush_deliveries, entries)
-            except RuntimeError:
-                pass
-
-    # -- realtime delivery -------------------------------------------------
-    def _bridge(self, conn: _Connection, cid: int, handle: InferenceHandle) -> None:
-        """Handle resolution (any thread) -> connection-loop delivery."""
-        try:
-            conn.loop.call_soon_threadsafe(self._deliver, conn, cid, handle)
-        except RuntimeError:  # loop already closed at teardown
-            pass
-
-    def _deliver(self, conn: _Connection, cid: int, handle: InferenceHandle) -> None:
-        conn.inflight -= 1
-        echo = conn.take_echo(cid)
-        if conn.closed:
-            conn.shard.orphaned_results += 1
-            return
-        plan = handle.plan_ms
-        if conn.binary:
-            req = handle._request
-            res = handle.result_or_none
-            midx = conn.model_idx.get(req.task_type, MODEL_IDX_UNKNOWN)
-            if res is not None:
-                record = (
-                    cid, 0, midx, res.arrival_ms, res.finish_ms,
-                    res.e2e_ms, res.response_ratio,
-                    res.preemptions, res.retries, plan,
-                )
-            else:
-                record = (
-                    cid, TAG_BY_OUTCOME.get(handle.outcome, _TAG_BAD_STATE),
-                    midx, req.arrival_ms, _NAN, _NAN, _NAN,
-                    0, req.retries, plan,
-                )
-            conn.send_bytes(BinaryCodecV2.encode_result(record))
-            return
-        if handle.outcome == "served":
-            res = handle.result_or_none
-            assert res is not None
-            payload: dict[str, Any] = {
-                "id": cid,
-                "model": res.model,
-                "arrival_ms": res.arrival_ms,
-                "finish_ms": res.finish_ms,
-                "e2e_ms": res.e2e_ms,
-                "response_ratio": res.response_ratio,
-                "preemptions": res.preemptions,
-                "retries": res.retries,
-                "plan_ms": list(plan) if plan is not None else None,
-            }
-            if echo is not None:
-                payload["echo"] = echo
-            conn.send(FrameType.RESULT, payload)
-        else:
-            req = handle._request
-            payload = {
-                "id": cid,
-                "code": OUTCOME_CODES.get(handle.outcome, handle.outcome),
-                "model": req.task_type,
-                "arrival_ms": req.arrival_ms,
-                "retries": req.retries,
-                "plan_ms": list(plan) if plan is not None else None,
-            }
-            if echo is not None:
-                payload["echo"] = echo
-            conn.send(FrameType.ERROR, payload)
+        replies: dict[_Connection, list[tuple]] = {}
+        for conn, cid, echo, request in pending.values():
+            replies.setdefault(conn, []).append(
+                _reply_record(cid, echo, request, ERR_FAILED, None)
+            )
+        self._post(replies)
 
     async def _handle_register(
         self, conn: _Connection, payload: dict[str, Any]

@@ -25,6 +25,7 @@ from repro.hardware.presets import jetson_nano
 from repro.robustness.config import RobustnessConfig
 from repro.scheduling.policies.base import Scheduler
 from repro.scheduling.policies.split_policy import SplitScheduler
+from repro.scheduling.request import TaskSpec
 from repro.server.clock import ScaledClock
 from repro.server.deployment import DeployedModel, DeploymentManager
 from repro.server.responder import InferenceHandle, Responder
@@ -81,6 +82,9 @@ class SplitServer:
             self.responder.resolve,
             on_timeout=self.responder.timeout,
         )
+        #: The deployed task catalogue by name, swapped whole on every
+        #: deploy (the wire front-end resolves JSON infers against it).
+        self.specs: dict[str, TaskSpec] = {}
         self._wrapper: RequestWrapper | None = None
         self._deploy_lock = threading.Lock()
         self._running = False
@@ -108,7 +112,8 @@ class SplitServer:
         graph = self.unwrapper.unwrap(model)
         with self._deploy_lock:
             record = self.deployment.deploy(graph)
-            self._wrapper = RequestWrapper(self.deployment.task_specs())
+            self.specs = self.deployment.task_specs()
+            self._wrapper = RequestWrapper(self.specs)
         return record
 
     def start(self) -> None:
@@ -140,44 +145,21 @@ class SplitServer:
         assert self._wrapper is not None
         now = self.clock.now_ms()
         request = self._wrapper.wrap(model_name, arrival_ms=now)
-        return self.submit_wrapped(request, now)
-
-    def submit_wrapped(
-        self, request, now: float | None = None
-    ) -> InferenceHandle:
-        """Submit an already-wrapped request (the wire front-end's path).
-
-        Registers the handle, applies ClockWork-style admission when
-        configured, and enqueues through the token scheduler; every
-        outcome — including immediate rejection — resolves the handle.
-        """
-        if now is None:
-            now = self.clock.now_ms()
-        handle = self.responder.register(request)
-        if self.admission_alpha is not None:
-            predicted_rr = (
-                self.tokens.backlog_ms() + request.ext_ms
-            ) / request.ext_ms
-            if predicted_rr > self.admission_alpha:
-                self.rejected += 1
-                self.responder.reject(request)
-                return handle
-        if not self.tokens.submit(request, now):
-            self.responder.reject(request)
-        return handle
+        return self.submit_batch([request], now)[0]
 
     def submit_batch(
         self, requests: list, now: float | None = None
     ) -> list[InferenceHandle]:
         """Submit a batch of wrapped requests sharing one arrival instant.
 
-        The wire front-end's realtime batch path: handles register per
-        request, admission control is evaluated per request against the
-        backlog as seen before the batch (the batch's own members do not
-        count against each other — they arrived together), and admitted
+        The one submission path (:meth:`submit` and the wire front-end's
+        realtime intake): handles register per request, ClockWork-style
+        admission control is evaluated per request against the backlog
+        as seen before the batch (the batch's own members do not count
+        against each other — they arrived together), and admitted
         requests enqueue through :meth:`TokenScheduler.submit_batch`
-        under a single queue lock. Every handle resolves, as with
-        :meth:`submit_wrapped`.
+        under a single queue lock. Every outcome — including immediate
+        rejection — resolves the handle.
         """
         if now is None:
             now = self.clock.now_ms()
@@ -200,12 +182,6 @@ class SplitServer:
             if not admitted:
                 self.responder.reject(request)
         return handles
-
-    def wrap(self, model_name: str, arrival_ms: float):
-        """Build a request against the deployed catalogue (no submission)."""
-        if self._wrapper is None:
-            raise ServerError("no models deployed")
-        return self._wrapper.wrap(model_name, arrival_ms=arrival_ms)
 
     def drain(self, timeout_s: float = 30.0) -> None:
         """Wait until every in-flight request resolves."""

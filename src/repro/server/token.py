@@ -157,24 +157,17 @@ class TokenScheduler:
                 heapq.heapify(self._parked)
 
     # --------------------------------------------------------------- intake
-    def submit(self, request: Request, now_ms: float) -> bool:
-        """Enqueue by policy; wakes the assigner. Returns admission."""
-        with self._work:
-            admitted = self.scheduler.on_arrival(self._queue, request, now_ms)
-            if admitted:
-                self._shed_overload(now_ms)
-                self._work.notify()
-            return admitted
-
     def submit_batch(
         self, requests: list[Request], now_ms: float
     ) -> list[bool]:
-        """Enqueue a batch of simultaneous arrivals under one lock.
+        """Enqueue simultaneous arrivals by policy under one lock; wakes
+        the assigner.
 
-        The wire front-end's batch-intake path: N requests that crossed
-        in one INFER_BATCH frame share a single lock acquisition, one
-        shed pass and one assigner wake-up instead of N of each. Returns
-        per-request admission verdicts, aligned with the input.
+        The one intake path: N requests that crossed in one INFER_BATCH
+        frame share a single lock acquisition, one shed pass and one
+        assigner wake-up instead of N of each (a single submission is a
+        batch of one). Returns per-request admission verdicts, aligned
+        with the input.
         """
         with self._work:
             admitted = [

@@ -108,7 +108,7 @@ class TestSharding:
 
     def test_shards_time_ordered_and_hop_charged(self, mixed):
         orch, res = mixed
-        shards = orch.shard(SCENARIO)
+        shards = orch.shard(SCENARIO).shards
         assert sum(s.n_requests for s in shards) == SCENARIO.n_requests
         for shard in shards:
             assert np.all(np.diff(shard.enqueue_ms) >= 0.0)
@@ -136,7 +136,7 @@ class TestSharding:
             NodeClass("desktop-gpu", 1),
         )
         orch = FleetOrchestrator(inventory, models=MODELS, seed=SEED)
-        shards = orch.shard(SCENARIO)
+        shards = orch.shard(SCENARIO).shards
         vgg = MODELS.index("vgg19")
         for shard, nc_idx in zip(shards, orch._node_class):
             if orch.inventory[nc_idx].supports is not None:

@@ -151,7 +151,7 @@ class TestScriptedFailover:
 
     def test_dead_node_shard_ends_at_death(self, chaos_run):
         orch, _res = chaos_run
-        shards = orch.shard(SCENARIO)
+        shards = orch.shard(SCENARIO).shards
         # Node index 2 fail-stops at 2500 ms: nothing may be enqueued on
         # it at or after that instant.
         dead = shards[2]

@@ -67,11 +67,14 @@ async def _attack():
             # Firehose ~400 KiB of padded infers without ever reading.
             await loop.run_in_executor(None, hostile.sendall, _flood_blob())
 
-            # Wait until the slow reader's queue demonstrably overflowed
-            # and the in-flight cap demonstrably refused work.
+            # Wait until the server has read the whole flood (the cap's
+            # verdicts are final only then), the slow reader's queue
+            # demonstrably overflowed and the cap demonstrably refused
+            # work.
             deadline = loop.time() + 30
             while (
-                server.results_dropped == 0
+                server.frames_in < N_FLOOD
+                or server.results_dropped == 0
                 or server.backpressure_rejections == 0
             ):
                 if loop.time() > deadline:
