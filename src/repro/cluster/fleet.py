@@ -64,6 +64,7 @@ from repro.profiling.records import ModelProfile
 from repro.profiling.store import default_plan_store
 from repro.runtime.metrics import StreamingQoS
 from repro.runtime.simulator import (
+    _POLICY_TABLE,
     _profiles_for,
     _request_classes,
     default_split_plans,
@@ -80,17 +81,13 @@ from repro.zoo.registry import EVALUATED_MODELS, get_model
 
 _CHUNK = 8192
 
-#: Sequential policies a fleet node can run, mapped to their plan kind
-#: (mirrors the simulator's dispatch; rta/reef need engines a fleet node
-#: does not model).
+#: Sequential policies a fleet node can run, mapped to their plan kind:
+#: the simulator's policy table minus rta (no sequential scheduler) and
+#: reef (operator-granularity plans a fleet node does not model).
 _PLAN_KINDS = {
-    "split": "split",
-    "edf": "split",
-    "roundrobin": "split",
-    "clockwork": "vanilla",
-    "fifo": "vanilla",
-    "sjf": "vanilla",
-    "prema": "prema",
+    policy: plan_kind
+    for policy, (plan_kind, factory) in _POLICY_TABLE.items()
+    if factory is not None and plan_kind != "operator"
 }
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConnectionLost, ReproError, RequestTimeout, ServerError
@@ -92,6 +92,19 @@ class WireResult:
     retries: int = 0
     plan_ms: tuple[float, ...] | None = None
     echo: Any = None
+
+
+def _json_infer(
+    cid: int, model: str, arrival_ms: float | None, echo: Any = None
+) -> dict[str, Any]:
+    """One JSON infer item: an INFER frame's payload or an INFER_BATCH
+    entry (unset stamp and echo are left off the wire)."""
+    item: dict[str, Any] = {"id": cid, "model": model}
+    if arrival_ms is not None:
+        item["arrival_ms"] = arrival_ms
+    if echo is not None:
+        item["echo"] = echo
+    return item
 
 
 def _result_from_payload(ftype: FrameType, payload: dict[str, Any]) -> WireResult:
@@ -297,13 +310,11 @@ class AsyncNetClient:
                         )
                     )
                 else:
-                    payload: dict[str, Any] = {"id": cid, "model": model}
-                    if arrival_ms is not None:
-                        payload["arrival_ms"] = arrival_ms
-                    if echo is not None:
-                        payload["echo"] = echo
                     self._writer.write(
-                        self._decoder.codec.encode(FrameType.INFER, payload)
+                        self._decoder.codec.encode(
+                            FrameType.INFER,
+                            _json_infer(cid, model, arrival_ms, echo),
+                        )
                     )
             await self._writer.drain()
         except (ConnectionError, OSError, ReproError) as exc:
@@ -551,25 +562,21 @@ class AsyncNetClient:
         if self.binary:
             if echo is not None:
                 raise ServerError("echo travels on the JSON codec only")
+            # Refuse an unknown model before anything is registered.
+            midx = self._model_index(model)
             cid, fut = self._register_waiter("infer")
             self._pending[cid] = (model, arrival_ms, None)
             self._writer.write(
-                BinaryCodecV2.encode_infer(
-                    cid, self._model_index(model), arrival_ms
+                BinaryCodecV2.encode_infer(cid, midx, arrival_ms)
+            )
+        else:
+            cid, fut = self._register_waiter("infer")
+            self._pending[cid] = (model, arrival_ms, echo)
+            self._writer.write(
+                self._decoder.codec.encode(
+                    FrameType.INFER, _json_infer(cid, model, arrival_ms, echo)
                 )
             )
-            await self._writer.drain()
-            return fut
-        cid, fut = self._register_waiter("infer")
-        self._pending[cid] = (model, arrival_ms, echo)
-        payload = {"id": cid, "model": model}
-        if arrival_ms is not None:
-            payload["arrival_ms"] = arrival_ms
-        if echo is not None:
-            payload["echo"] = echo
-        self._writer.write(
-            self._decoder.codec.encode(FrameType.INFER, payload)
-        )
         await self._writer.drain()
         return fut
 
@@ -594,9 +601,12 @@ class AsyncNetClient:
         futures: list[asyncio.Future] = []
         ids = self._ids
         if self.binary:
+            # Resolve every model before registering any waiter, so a
+            # refused batch leaves nothing behind for a reconnect replay.
+            midxs = [self._model_index(model) for model, _ in items]
             records: list[tuple[int, int, float]] = []
             nan = float("nan")
-            for model, arrival_ms in items:
+            for (model, arrival_ms), midx in zip(items, midxs):
                 if track:
                     cid, fut = self._register_waiter("infer")
                     self._pending[cid] = (model, arrival_ms, None)
@@ -604,11 +614,7 @@ class AsyncNetClient:
                 else:
                     cid = next(ids)
                 records.append(
-                    (
-                        cid,
-                        self._model_index(model),
-                        nan if arrival_ms is None else arrival_ms,
-                    )
+                    (cid, midx, nan if arrival_ms is None else arrival_ms)
                 )
             self._writer.write(BinaryCodecV2.encode_infer_batch(records))
         else:
@@ -620,10 +626,7 @@ class AsyncNetClient:
                     futures.append(fut)
                 else:
                     cid = next(ids)
-                item: dict[str, Any] = {"id": cid, "model": model}
-                if arrival_ms is not None:
-                    item["arrival_ms"] = arrival_ms
-                wire_items.append(item)
+                wire_items.append(_json_infer(cid, model, arrival_ms))
             self._writer.write(
                 encode_frame(FrameType.INFER_BATCH, {"items": wire_items})
             )
@@ -817,7 +820,10 @@ class ReplayReport:
 
     #: Infer outcomes in server emission order, per connection, concatenated
     #: in connection order (for one connection: exact terminal order).
-    results: list[WireResult]
+    #: Left out of ``repr``: on CPython 3.11/3.12 ``asyncio.run`` formats
+    #: its finished main task (and so this report) twice on exit, which
+    #: would walk every result of the replay.
+    results: list[WireResult] = field(repr=False)
     sent: int
     wall_s: float
 

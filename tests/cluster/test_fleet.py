@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import FleetOrchestrator, NodeClass
 from repro.errors import SimulationError
 from repro.runtime.capture import float_bits
-from repro.runtime.simulator import simulate, simulate_stream
+from repro.runtime.simulator import POLICIES, simulate, simulate_stream
 from repro.runtime.workload import Scenario
 
 MODELS = ("yolov2", "vgg19")
@@ -151,10 +151,23 @@ class TestFleetCapacity:
         assert by_name["desktop-gpu/0"].capacity > 1.0
 
 
+#: Policies a fleet node cannot run: rta needs the ConcurrentEngine,
+#: reef operator-granularity plans.
+NOT_ON_FLEET = ("rta", "reef")
+
+
 class TestValidation:
-    def test_unsupported_policy_rejected(self):
+    @pytest.mark.parametrize("policy", NOT_ON_FLEET)
+    def test_unsupported_policy_rejected(self, policy):
         with pytest.raises(SimulationError, match="cannot run on fleet"):
-            FleetOrchestrator("jetson-nano:1", models=MODELS, policy="rta")
+            FleetOrchestrator("jetson-nano:1", models=MODELS, policy=policy)
+
+    @pytest.mark.parametrize(
+        "policy", [p for p in POLICIES if p not in NOT_ON_FLEET]
+    )
+    def test_every_other_policy_accepted(self, policy):
+        orch = FleetOrchestrator("jetson-nano:1", models=MODELS, policy=policy)
+        assert orch.policy == policy
 
     def test_unservable_model_rejected_up_front(self):
         inventory = (

@@ -203,6 +203,45 @@ class TestReconnect:
 
         asyncio.run(run())
 
+    def test_refused_binary_batch_leaves_nothing_to_replay(self):
+        """A binary batch naming a model outside the negotiated table is
+        refused before any waiter is registered: nothing is left for the
+        redial to replay, and the client still serves after it."""
+
+        async def run():
+            server = NetServer(models=(MODEL,), mode="realtime")
+            await server.start()
+            port = server.port
+            client = await AsyncNetClient.connect(
+                "127.0.0.1", port, codec=CODEC_BINARY, reconnect=RECONNECT
+            )
+            with pytest.raises(ServerError, match="nosuchmodel"):
+                await client.submit_batch(
+                    [(MODEL, None), ("nosuchmodel", None)]
+                )
+            with pytest.raises(ServerError, match="nosuchmodel"):
+                await client.submit("nosuchmodel")
+            await server.stop()
+            await asyncio.sleep(0.2)
+            server2 = NetServer(models=(MODEL,), mode="realtime", port=port)
+            await server2.start()
+            try:
+                await asyncio.sleep(1.0)
+                result = await asyncio.wait_for(
+                    client.infer(MODEL, 0.0), timeout=15
+                )
+                assert result.outcome == "served"
+                # The refused batch's MODEL item never reached the new
+                # server: the only infer it saw is the one just served.
+                await client.fence()
+                assert server2.stats()["server"]["completed"] == 1
+                assert [r.id for r in client.received] == [result.id]
+            finally:
+                await client.close()
+                await server2.stop()
+
+        asyncio.run(run())
+
     def test_exhausted_backoff_fails_typed(self):
         async def run():
             server = NetServer(models=(MODEL,), mode="lockstep")
