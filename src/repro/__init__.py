@@ -13,29 +13,36 @@ subpackages for the full surface:
 * :mod:`repro.server` — threaded serving pipeline (Fig. 4);
 * :mod:`repro.analysis` — queueing theory, Pareto, sensitivity tools;
 * :mod:`repro.experiments` — one module per paper table/figure.
-"""
 
-from repro.hardware import jetson_nano
-from repro.profiling import Profiler
-from repro.runtime import SCENARIOS, Scenario, simulate
-from repro.scheduling import greedy_insert
-from repro.server import SplitServer
-from repro.splitting import GAConfig, GeneticSplitter
-from repro.zoo import get_model, model_names
+The re-exports resolve on first access, so ``import repro.<sub>`` loads
+only ``<sub>`` and what it imports, and ``import repro`` binds no
+subpackage attribute until one is imported.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "jetson_nano",
-    "Profiler",
-    "SCENARIOS",
-    "Scenario",
-    "simulate",
-    "greedy_insert",
-    "SplitServer",
-    "GAConfig",
-    "GeneticSplitter",
-    "get_model",
-    "model_names",
-    "__version__",
-]
+_EXPORTS = {
+    "jetson_nano": "repro.hardware",
+    "Profiler": "repro.profiling",
+    "SCENARIOS": "repro.runtime",
+    "Scenario": "repro.runtime",
+    "simulate": "repro.runtime",
+    "greedy_insert": "repro.scheduling",
+    "SplitServer": "repro.server",
+    "GAConfig": "repro.splitting",
+    "GeneticSplitter": "repro.splitting",
+    "get_model": "repro.zoo",
+    "model_names": "repro.zoo",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)
+
+
+__all__ = [*_EXPORTS, "__version__"]

@@ -3,29 +3,9 @@
 Every module exposes ``run(...) -> <result dataclass>`` and ``render(result)
 -> str`` (the text-table equivalent of the paper's plot); the CLI
 (``python -m repro.experiments <id>``) and the benchmarks call ``run``.
+Importing the package loads no experiment module; import the one you
+need (``from repro.experiments import fig6``).
 """
-
-from repro.experiments import (  # noqa: F401
-    ablations,
-    bursts,
-    config,
-    eq1,
-    fig1,
-    fig2,
-    fig5,
-    fig6,
-    fig7,
-    fleet,
-    fleet_chaos,
-    live_replay,
-    qos_targets,
-    robustness,
-    scaling,
-    sensitivity,
-    stress,
-    table1,
-    table3,
-)
 
 #: Everything ``python -m repro.experiments all`` runs. ``stress``,
 #: ``fleet``, ``fleet_chaos`` and ``live_replay`` are registered with

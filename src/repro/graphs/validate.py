@@ -1,33 +1,15 @@
 """Structural validation for model graphs.
 
 Builders construct graphs incrementally with per-op checks; this module adds
-whole-graph invariants (acyclicity via networkx, reachability, topological
-order of the stored list) that are cheap enough to run in tests and at
+whole-graph invariants (topological order of the stored list, reachability
+from the graph inputs) that are cheap enough to run in tests and at
 deserialisation time.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import GraphError
 from repro.graphs.graph import ModelGraph
-
-
-def to_networkx(graph: ModelGraph) -> nx.DiGraph:
-    """Export the operator dependency structure as a :class:`networkx.DiGraph`.
-
-    Node keys are operator indices; edges carry the tensor name that induces
-    the dependency.
-    """
-    g = nx.DiGraph(name=graph.name)
-    g.add_nodes_from(range(len(graph)))
-    prod = graph.producer
-    for j, op in enumerate(graph.operators):
-        for t in op.inputs:
-            if t.name in prod:
-                g.add_edge(prod[t.name], j, tensor=t.name)
-    return g
 
 
 def validate_graph(graph: ModelGraph) -> None:
@@ -36,10 +18,15 @@ def validate_graph(graph: ModelGraph) -> None:
     Invariants:
 
     * at least one operator and one graph input;
-    * the stored operator order is topological (every edge goes forward);
-    * the dependency DAG is acyclic and weakly connected;
-    * every operator is reachable from some graph input;
+    * the stored operator order is topological: every operator input is a
+      graph input or the output of an earlier operator (so the dependency
+      graph is acyclic);
+    * every operator is reachable from a graph input: one of its inputs
+      is a graph input or the output of a reachable operator;
     * at least one graph output exists.
+
+    The order and reachability checks share one forward pass over the
+    stored order.
     """
     if not graph.operators:
         raise GraphError(f"{graph.name}: graph has no operators")
@@ -48,6 +35,10 @@ def validate_graph(graph: ModelGraph) -> None:
 
     prod = graph.producer
     input_names = {t.name for t in graph.inputs}
+    # Tensors a graph input reaches. The order is topological, so every
+    # producer is settled before its consumers are visited.
+    reached = set(input_names)
+    unreachable = []
     for j, op in enumerate(graph.operators):
         for t in op.inputs:
             if t.name in prod:
@@ -61,29 +52,14 @@ def validate_graph(graph: ModelGraph) -> None:
                 raise GraphError(
                     f"{graph.name}: {op.name!r} consumes undefined tensor {t.name!r}"
                 )
-
-    g = to_networkx(graph)
-    if not nx.is_directed_acyclic_graph(g):  # defensive; order check implies it
-        raise GraphError(f"{graph.name}: dependency graph has a cycle")
-
-    # Reachability from inputs: an op is fed by the input if any of its
-    # transitive predecessors consumes a graph input tensor.
-    roots = {
-        j
-        for j, op in enumerate(graph.operators)
-        if any(t.name in input_names for t in op.inputs)
-    }
-    if not roots:
-        raise GraphError(f"{graph.name}: no operator consumes a graph input")
-    reachable = set(roots)
-    for r in roots:
-        reachable.update(nx.descendants(g, r))
-    unreachable = set(range(len(graph))) - reachable
+        if any(t.name in reached for t in op.inputs):
+            reached.update(t.name for t in op.outputs)
+        else:
+            unreachable.append(op.name)
     if unreachable:
-        names = [graph.operators[i].name for i in sorted(unreachable)][:5]
         raise GraphError(
             f"{graph.name}: {len(unreachable)} operator(s) unreachable from "
-            f"graph inputs, e.g. {names}"
+            f"graph inputs, e.g. {unreachable[:5]}"
         )
 
     if not graph.output_tensors:

@@ -88,7 +88,11 @@ class ChunkSource(Protocol):
     pool: Any
 
     def next_chunk(self) -> tuple[list[float], list[Request]] | None:
-        """The next time-ordered ``(times, requests)`` chunk, or None."""
+        """The next time-ordered ``(times, requests)`` chunk, or None.
+
+        None is final: the source is exhausted, and the fast lane never
+        calls :meth:`next_chunk` again in that run.
+        """
         ...
 
     def __iter__(self) -> Iterator[tuple[float, Request]]: ...
@@ -894,12 +898,14 @@ class EventKernel:
         last_executed: Request | None = proc.last_executed
         block_start = proc.block_start
         block_end = _INF
+        # A source that has returned None is never polled again.
+        exhausted = False
 
         while True:
             if running is None:
                 # Idle processor == empty queue (fault-free invariant):
                 # the next arrival opens service at its own time.
-                if i >= n and not refill():
+                if i >= n and (exhausted or not refill()):
                     break
                 t = times[i]
                 req = reqs[i]
@@ -942,7 +948,8 @@ class EventKernel:
                                     flush()
                         if i < n:
                             break  # next arrival is past this block
-                    if not refill():
+                    if exhausted or not refill():
+                        exhausted = True
                         break
                 # Finish the running block.
                 now = block_end

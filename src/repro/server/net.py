@@ -133,8 +133,9 @@ class _IntakeSource:
         self._done = False
 
     def next_chunk(self) -> tuple[list[float], list[Request]] | None:
-        # The kernel polls again after exhaustion (idle-processor pulls);
-        # EOF must be sticky or the second call would block forever.
+        # Sticky EOF is a guard: the kernel stops at the first None, but
+        # any later call (a second iteration, say) must return None again
+        # rather than block forever on the drained intake.
         if self._done:
             return None
         item = self._intake.get()

@@ -53,9 +53,9 @@ class TestSmallCells:
 
     def test_registered_as_explicit_cli_run(self):
         from repro.experiments import EXPERIMENT_IDS
-        from repro.experiments.runner import _RUNNERS
+        from repro.experiments.runner import OPT_IN_IDS
 
-        assert "fleet" in _RUNNERS
+        assert "fleet" in OPT_IN_IDS
         assert "fleet" not in EXPERIMENT_IDS  # not part of "all"
 
 

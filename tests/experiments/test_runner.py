@@ -1,8 +1,11 @@
 """Experiment CLI."""
 
+import importlib
+
 import pytest
 
-from repro.experiments.runner import main
+from repro.experiments import EXPERIMENT_IDS
+from repro.experiments.runner import OPT_IN_IDS, main
 
 
 def test_table1_via_cli(capsys):
@@ -43,3 +46,14 @@ def test_out_flag_writes_reports(tmp_path, capsys):
     written = tmp_path / "table1.txt"
     assert written.exists()
     assert "Table 1" in written.read_text()
+
+
+@pytest.mark.parametrize(
+    "exp_id", [e for e in (*EXPERIMENT_IDS, *OPT_IN_IDS) if e != "headline"]
+)
+def test_every_cli_id_names_an_experiment_module(exp_id):
+    """The CLI imports ``repro.experiments.<id>`` on demand, so every id
+    (but ``headline``, which the runner renders itself) must name a
+    module with ``run`` and ``render``."""
+    module = importlib.import_module(f"repro.experiments.{exp_id}")
+    assert callable(module.run) and callable(module.render)

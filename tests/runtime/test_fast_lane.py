@@ -260,6 +260,40 @@ class TestChunkedArrivals:
             bad_across.next_chunk()
 
 
+class _CountingSource:
+    """A fast-lane chunk source over fixed chunks that counts
+    :meth:`next_chunk` calls."""
+
+    pool = None
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+        self.calls = 0
+
+    def next_chunk(self):
+        self.calls += 1
+        return next(self._chunks, None)
+
+
+class TestExhaustedSource:
+    def test_none_is_final(self):
+        """Three chunks cost exactly four ``next_chunk`` calls, however
+        many blocks still finish after the last arrival."""
+        scenario = Scenario("eof", 90.0, "high", n_requests=60)
+        pairs = sorted(table2_arrivals(scenario), key=lambda p: p[0])
+        chunks = [
+            ([t for t, _ in part], [req for _, req in part])
+            for part in (pairs[:20], pairs[20:40], pairs[40:])
+        ]
+        source = _CountingSource(chunks)
+        kernel = EventKernel([SplitScheduler()])
+        result = EngineResult()
+        kernel.run(source, batch_sink(result), result)
+        assert kernel.lane_used == "fast"
+        assert len(result.completed) + len(result.dropped) == len(pairs)
+        assert source.calls == 4
+
+
 class TestBulkAdmit:
     def test_bulk_admit_matches_per_request_on_arrival(self):
         scenario = Scenario("bulk", 80.0, "high", n_requests=300)
