@@ -54,7 +54,7 @@ import asyncio
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.errors import ConnectionLost, ReproError, RequestTimeout, ServerError
 from repro.robustness.retry import RetryPolicy
@@ -70,14 +70,17 @@ from repro.server.protocol import (
     encode_frame,
 )
 
+_NAN = float("nan")
 
-@dataclass(frozen=True)
-class WireResult:
+
+class WireResult(NamedTuple):
     """One infer outcome as it crossed the wire.
 
     Satisfies :class:`repro.runtime.capture.ReplayObservation`: ``model``
     / ``arrival_ms`` / ``outcome`` / ``finish_ms`` / ``plan_ms`` are the
-    fields the differential summary keys on.
+    fields the differential summary keys on. A NamedTuple, built
+    positionally once per reply: a frozen dataclass would pay an
+    ``object.__setattr__`` per field.
     """
 
     id: int
@@ -108,26 +111,21 @@ def _json_infer(
 
 
 def _result_from_payload(ftype: FrameType, payload: dict[str, Any]) -> WireResult:
-    plan = payload.get("plan_ms")
-    common = dict(
-        id=payload["id"],
-        model=payload.get("model", ""),
-        arrival_ms=payload.get("arrival_ms", float("nan")),
-        retries=payload.get("retries", 0),
-        plan_ms=tuple(plan) if plan is not None else None,
-        echo=payload.get("echo"),
-    )
+    get = payload.get
+    plan = get("plan_ms")
+    plan_ms = tuple(plan) if plan is not None else None
     if ftype is FrameType.RESULT:
         return WireResult(
-            outcome="served",
-            ok=True,
-            finish_ms=payload.get("finish_ms"),
-            e2e_ms=payload.get("e2e_ms"),
-            response_ratio=payload.get("response_ratio"),
-            preemptions=payload.get("preemptions", 0),
-            **common,
+            payload["id"], "served", True, get("model", ""),
+            get("arrival_ms", _NAN), get("finish_ms"), get("e2e_ms"),
+            get("response_ratio"), get("preemptions", 0), get("retries", 0),
+            plan_ms, get("echo"),
         )
-    return WireResult(outcome=payload.get("code", "error"), ok=False, **common)
+    return WireResult(
+        payload["id"], get("code", "error"), False, get("model", ""),
+        get("arrival_ms", _NAN), None, None, None, 0, get("retries", 0),
+        plan_ms, get("echo"),
+    )
 
 
 class AsyncNetClient:
@@ -397,28 +395,14 @@ class AsyncNetClient:
         model = names[midx] if midx < len(names) else ""
         if tag == 0:
             return WireResult(
-                id=cid,
-                outcome="served",
-                ok=True,
-                model=model,
-                arrival_ms=arrival,
-                finish_ms=finish,
-                e2e_ms=e2e,
-                response_ratio=rr,
-                preemptions=preempt,
-                retries=retries,
-                plan_ms=plan,
+                cid, "served", True, model, arrival, finish, e2e, rr,
+                preempt, retries, plan,
             )
         # Unhappy records carry NaN in the derived-time fields; surface
         # them as None like the JSON path does.
         return WireResult(
-            id=cid,
-            outcome=TAG_OUTCOMES[tag],
-            ok=False,
-            model=model,
-            arrival_ms=arrival,
-            retries=retries,
-            plan_ms=plan,
+            cid, TAG_OUTCOMES[tag], False, model, arrival, None, None, None,
+            0, retries, plan,
         )
 
     def _settle(self, result: WireResult) -> None:

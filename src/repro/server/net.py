@@ -1073,7 +1073,8 @@ class NetServer:
     ) -> tuple[int, str, float, Any] | None:
         """A JSON infer (frame or batch item) as an intake record; None
         after a protocol nack when its id or model is malformed. A stamp
-        that is not a number becomes NaN, i.e. "no stamp"."""
+        that is not a number, or an integer too large for a float,
+        becomes NaN, i.e. "no stamp"."""
         cid = item.get("id")
         if not isinstance(cid, int):
             self._protocol_nack(conn, None, "infer frame needs an integer id")
@@ -1085,7 +1086,11 @@ class NetServer:
         arrival = item.get("arrival_ms")
         if isinstance(arrival, bool) or not isinstance(arrival, (int, float)):
             arrival = _NAN
-        return cid, model, float(arrival), item.get("echo")
+        try:
+            stamp = float(arrival)
+        except OverflowError:
+            stamp = _NAN
+        return cid, model, stamp, item.get("echo")
 
     def _admit(
         self,

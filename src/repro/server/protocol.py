@@ -143,10 +143,16 @@ def _frame(ftype: int, body: bytes) -> bytes:
     return _HEADER.pack(length) + bytes([ftype]) + body
 
 
+#: One compact encoder for every JSON body: ``json.dumps`` with any
+#: non-default argument builds a fresh encoder per call. ``encode``
+#: keeps no state on the encoder, so threads share it safely.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_body(payload: dict[str, Any] | None) -> bytes:
-    return b"" if payload is None else json.dumps(
-        payload, separators=(",", ":")
-    ).encode("utf-8")
+    if payload is None:
+        return b""
+    return _COMPACT_JSON.encode(payload).encode("utf-8")
 
 
 def _decode_json_body(body: memoryview) -> dict[str, Any]:

@@ -15,16 +15,18 @@ exceptions from :meth:`InferenceHandle.result` — never as a hang.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.errors import RequestFailed, RequestTimeout, ServerError
 from repro.scheduling.request import Request
 
 
-@dataclass(frozen=True)
-class InferenceResult:
-    """What the user gets back."""
+class InferenceResult(NamedTuple):
+    """What the user gets back.
+
+    A NamedTuple, built positionally once per served request: a frozen
+    dataclass would pay an ``object.__setattr__`` per field.
+    """
 
     request_id: int
     model: str
@@ -128,6 +130,10 @@ class Responder:
         self._lock = threading.Lock()
         self._pending: dict[int, InferenceHandle] = {}
         self.completed: list[InferenceResult] = []
+        # Running totals over ``completed``, updated under the lock at
+        # every append, so a stats snapshot never walks the results.
+        self._rr_sum = 0.0
+        self._rr_max = float("nan")
         self.rejected = 0
         self.shed = 0
         self.failed = 0
@@ -175,21 +181,42 @@ class Responder:
 
     def resolve(self, request: Request, finish_ms: float) -> None:
         """Completion callback for the token assigner."""
+        e2e = finish_ms - request.arrival_ms
         result = InferenceResult(
-            request_id=request.request_id,
-            model=request.task_type,
-            arrival_ms=request.arrival_ms,
-            finish_ms=finish_ms,
-            e2e_ms=finish_ms - request.arrival_ms,
-            response_ratio=(finish_ms - request.arrival_ms) / request.ext_ms,
-            preemptions=request.preemptions,
-            retries=request.retries,
+            request.request_id,
+            request.task_type,
+            request.arrival_ms,
+            finish_ms,
+            e2e,
+            e2e / request.ext_ms,
+            request.preemptions,
+            request.retries,
         )
         handle = self._retire(request, "served")
         with self._lock:
-            self.completed.append(result)
+            self._record(result)
         if handle is not None:
             handle._resolve("served", result)
+
+    def _record(self, result: InferenceResult) -> None:
+        """Append a served result and fold it into the running totals
+        (caller holds the lock). Left to right, like a plain loop over
+        ``completed``; the first result sets the maximum."""
+        rr = result.response_ratio
+        if not self.completed or rr > self._rr_max:
+            self._rr_max = rr
+        self._rr_sum += rr
+        self.completed.append(result)
+
+    def served_stats(self) -> tuple[int, float, float]:
+        """``(served, mean, max)`` of the response ratios served so far,
+        read under the lock in O(1); mean and max are NaN before the
+        first result."""
+        with self._lock:
+            n = len(self.completed)
+            if not n:
+                return 0, float("nan"), float("nan")
+            return n, self._rr_sum / n, self._rr_max
 
     def settle_batch(
         self, requests: list[Request], outcomes: list[str]
@@ -221,18 +248,18 @@ class Responder:
                 if outcome == "served":
                     finish = request.finish_ms
                     assert finish is not None
+                    e2e = finish - request.arrival_ms
                     result = InferenceResult(
-                        request_id=request.request_id,
-                        model=request.task_type,
-                        arrival_ms=request.arrival_ms,
-                        finish_ms=finish,
-                        e2e_ms=finish - request.arrival_ms,
-                        response_ratio=(finish - request.arrival_ms)
-                        / request.ext_ms,
-                        preemptions=request.preemptions,
-                        retries=request.retries,
+                        request.request_id,
+                        request.task_type,
+                        request.arrival_ms,
+                        finish,
+                        e2e,
+                        e2e / request.ext_ms,
+                        request.preemptions,
+                        request.retries,
                     )
-                    self.completed.append(result)
+                    self._record(result)
                 elif outcome == "rejected":
                     self.rejected += 1
                 elif outcome == "shed":

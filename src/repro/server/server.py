@@ -201,21 +201,19 @@ class SplitServer:
         return tuple(sorted(self.deployment.deployed))
 
     def stats(self) -> dict[str, float | int]:
-        """Serving statistics snapshot (observability endpoint)."""
-        completed = list(self.responder.completed)
-        rr = [r.response_ratio for r in completed]
+        """Serving statistics snapshot (observability endpoint); its cost
+        does not grow with the number of results served."""
+        completed, mean_rr, max_rr = self.responder.served_stats()
         return {
             "deployed_models": len(self.deployment.deployed),
-            "completed": len(completed),
+            "completed": completed,
             "in_flight": self.responder.in_flight(),
             "rejected": self.rejected,
             "blocks_executed": self.assigner.blocks_executed,
             "preemptions": self.tokens.preemptions,
             "queue_depth": self.tokens.depth(),
-            "mean_response_ratio": (
-                sum(rr) / len(rr) if rr else float("nan")
-            ),
-            "max_response_ratio": max(rr) if rr else float("nan"),
+            "mean_response_ratio": mean_rr,
+            "max_response_ratio": max_rr,
             # Robustness outcomes (all zero without a RobustnessConfig).
             "shed": self.responder.shed,
             "failed": self.responder.failed,

@@ -23,6 +23,7 @@ from repro.server.protocol import (
     FrameDecoder,
     FrameTooLarge,
     FrameType,
+    JsonCodec,
     ProtocolError,
     TruncatedFrame,
     decode_frames,
@@ -78,6 +79,31 @@ def test_roundtrip_survives_arbitrary_chunking(frames, cut_points):
         (f, json.loads(json.dumps(p))) for f, p in frames
     ]
     assert decoder.pending_bytes == 0
+
+
+# Any float the encoder may meet, NaN and the infinities included.
+_any_values = st.recursive(
+    st.one_of(_scalars, st.floats(width=64)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=10), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(
+    ftype=_ftypes,
+    payload=st.dictionaries(st.text(max_size=10), _any_values, max_size=6),
+)
+def test_shared_encoder_writes_the_per_call_dumps_bytes(ftype, payload):
+    """The one module-level compact encoder frames every payload exactly
+    as ``json.dumps(..., separators=(",", ":"))`` did per call."""
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    expected = struct.pack("!I", 1 + len(body)) + bytes([int(ftype)]) + body
+    assert encode_frame(ftype, payload) == expected
+    assert JsonCodec().encode(ftype, payload) == expected
 
 
 @given(ftype=_ftypes)

@@ -175,3 +175,54 @@ def test_non_object_json_batch_item_is_a_protocol_nack():
     ftype, result = by_id[2]
     assert ftype is FrameType.RESULT and result["model"] == "yolov2"
     assert by_id[3][0] is FrameType.ACK
+
+
+#: A JSON integer no double can hold: ``float()`` of it overflows.
+HUGE_STAMP = 10**400
+
+
+async def _huge_stamp_exchange(mode: str, ftype: FrameType):
+    """One JSON infer stamped with :data:`HUGE_STAMP` (as an INFER frame
+    or an INFER_BATCH item), then a STATS frame on the same connection;
+    returns every reply by id."""
+    server = NetServer(models=MODELS, mode=mode)
+    async with server:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        item = {"id": 1, "model": "yolov2", "arrival_ms": HUGE_STAMP}
+        payload = item if ftype is FrameType.INFER else {"items": [item]}
+        writer.write(
+            encode_frame(ftype, payload)
+            + encode_frame(FrameType.STATS, {"id": 2})
+        )
+        await writer.drain()
+        decoder = FrameDecoder()
+        by_id = {}
+        while len(by_id) < 2:
+            data = await asyncio.wait_for(reader.read(65536), 10)
+            assert data, "server closed the connection without a reply"
+            for reply_type, reply in decoder.feed(data):
+                by_id[reply.get("id")] = (reply_type, reply)
+        writer.close()
+        await writer.wait_closed()
+    return by_id
+
+
+@pytest.mark.parametrize(
+    "ftype", (FrameType.INFER, FrameType.INFER_BATCH), ids=("infer", "batch")
+)
+@pytest.mark.parametrize("mode", ("lockstep", "realtime"))
+def test_stamp_too_large_for_a_float_is_no_stamp(mode, ftype):
+    """JSON only (a binary stamp is a double already): the stamp counts
+    as missing. Lockstep nacks it like any missing stamp, realtime stamps
+    the request on receipt, and the connection stays up either way."""
+    by_id = asyncio.run(_huge_stamp_exchange(mode, ftype))
+    reply_type, reply = by_id[1]
+    if mode == "lockstep":
+        assert reply_type is FrameType.ERROR
+        assert reply["code"] == "protocol"
+        assert reply["message"] == "lockstep infer needs a nonnegative arrival_ms"
+    else:
+        assert reply_type is FrameType.RESULT, reply
+        assert reply["model"] == "yolov2"
+        assert math.isfinite(reply["arrival_ms"]) and reply["arrival_ms"] >= 0
+    assert by_id[2][0] is FrameType.STATS

@@ -1,8 +1,11 @@
 """SplitServer: threaded end-to-end serving."""
 
+import math
+
 import pytest
 
 from repro.errors import ServerError
+from repro.scheduling.request import Request
 from repro.server.server import SplitServer
 from repro.zoo.registry import get_model
 
@@ -147,3 +150,37 @@ def test_stats_snapshot(server):
     assert stats["blocks_executed"] >= 5
     assert stats["mean_response_ratio"] >= 0.9
     assert stats["rejected"] == 0
+
+
+def _loop_over_completed(server):
+    """The STATS response-ratio fields, recomputed by a left-to-right
+    loop over every served result (not ``sum()``, which compensates)."""
+    total, peak = 0.0, None
+    for result in server.responder.completed:
+        total += result.response_ratio
+        if peak is None or result.response_ratio > peak:
+            peak = result.response_ratio
+    return total / len(server.responder.completed), peak
+
+
+def test_stats_response_ratios_equal_a_loop(server):
+    stats = server.stats()
+    assert stats["completed"] == 0
+    assert math.isnan(stats["mean_response_ratio"])
+    assert math.isnan(stats["max_response_ratio"])
+    server.start()
+    handles = [server.submit(m) for m in ("yolov2", "vgg19", "yolov2") * 8]
+    server.drain(timeout_s=30.0)
+    for h in handles:
+        h.result(timeout_s=1.0)
+    # The batched settlement feeds the same running totals.
+    spec = server.specs["vgg19"]
+    batch = [Request(task=spec, arrival_ms=float(i)) for i in range(4)]
+    for i, request in enumerate(batch):
+        request.finish_ms = 100.0 + 7.3 * i
+    server.responder.settle_batch(batch, ["served", "shed", "served", "failed"])
+    stats = server.stats()
+    assert stats["completed"] == len(server.responder.completed) == 26
+    mean, peak = _loop_over_completed(server)
+    assert stats["mean_response_ratio"] == mean
+    assert stats["max_response_ratio"] == peak
