@@ -1,1 +1,2 @@
-"""Benchmark suite and reporting tools (``python -m benchmarks.report``)."""
+"""Benchmarks: the end-to-end record (``benchmarks/e2e``), the paired A/B
+runner (``ab.py``), the throughput floors and the paper-figure cells."""

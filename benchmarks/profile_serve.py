@@ -1,9 +1,9 @@
 """Profile the wire-level replay loop under cProfile.
 
 ``make profile-serve`` runs this: one warm-up replay (so the profiled
-pass sees hot profile/plan caches and warmed bytecode, matching what the
-``server_replay`` throughput pin measures), then the same replay under
-cProfile, printing the top entries by cumulative time.
+pass sees hot profile/plan caches and warmed bytecode, as the timed
+replays of the end-to-end benchmark's wire workloads do), then the same
+replay under cProfile, printing the top entries by cumulative time.
 
 Client and server share one event loop here — deliberately: cProfile
 only observes the calling thread, and putting both protocol endpoints on

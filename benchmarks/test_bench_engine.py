@@ -157,8 +157,8 @@ def test_bench_plan_store_cold_vs_warm(benchmark, ctx, tmp_path):
     """Cold vs warm offline pipeline through the persistent stores.
 
     The benchmark times the *warm* path (what every sweep after the first
-    pays); the cold/warm ratio is attached as ``extra_info`` so the
-    speedup is pinned in the bench trajectory.
+    pays); the cold/warm ratio is attached as ``extra_info`` so a timed
+    run reports the speedup.
     """
     profile_store = ProfileStore(tmp_path / "profiles")
     plan_store = PlanStore(tmp_path / "plans")

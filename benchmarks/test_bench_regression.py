@@ -1,87 +1,52 @@
-"""Throughput regression pin against the recorded baseline.
+"""Throughput floors taken from the end-to-end benchmark.
 
-``BENCH_50545cc.json`` (repo root) freezes the 100k-request streaming
-throughput measured immediately before the kernel unification. This test
-re-times the same cell and asserts the current engine stays within 10%
-of that number — the refactor's performance budget. A unified kernel
-that slowed the hot path down would pass every correctness test and
-still be a regression; this is the gate that catches it.
+For each workload of ``benchmarks/e2e`` this runs one in-process round
+at the benchmark's n and seed 0: set up once, then three timed replays
+of the same trace. No replay may report a problem (the workload's own
+output checks: conservation, failover, server counters), and the fastest
+replay must reach a third of the workload's set-A median throughput in
+``benchmarks/e2e/baseline.json``. A path that runs three times slower
+than its recorded median fails; re-measuring the baseline moves every
+floor with it.
 
-Wall-clock throughput is noisy on shared runners, so the pin only runs
-when ``SPLIT_BENCH_PIN`` is set — ``make bench-check`` sets it; plain
-``pytest benchmarks/`` skips it.
+Wall-clock throughput is noisy on shared machines, so the floors only
+run when ``SPLIT_BENCH_PIN`` is set (``make bench-check`` sets it);
+plain ``pytest benchmarks/`` skips them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from pathlib import Path
 
 import pytest
 
-from repro.runtime.engine import SequentialEngine
-from repro.runtime.metrics import StreamingQoS
-from repro.runtime.simulator import (
-    _profiles_for,
-    _request_classes,
-    default_split_plans,
-    warm_caches,
-)
-from repro.runtime.workload import (
-    Scenario,
-    WorkloadGenerator,
-    build_task_specs,
-    materialize_chunk_stream,
-)
-from repro.scheduling.policies import SplitScheduler
-from repro.scheduling.request import RequestPool
+from benchmarks.e2e.catalog import HERE, WORKLOADS
+from benchmarks.e2e.workloads import run_round
 
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_50545cc.json"
-#: The refactor's budget: at least 90% of the pre-kernel throughput.
-FLOOR_FRACTION = 0.9
-N = 100_000
+#: Share of the baseline median a workload must reach.
+FLOOR_FRACTION = 1 / 3
+REPS = 3
+
+_BASELINE = json.loads((HERE / "baseline.json").read_text())["sets"]["A"]
 
 
 @pytest.mark.skipif(
     not os.environ.get("SPLIT_BENCH_PIN"),
-    reason="throughput pin runs only under `make bench-check` "
+    reason="throughput floors run only under `make bench-check` "
     "(SPLIT_BENCH_PIN=1): wall-clock numbers are meaningless on busy "
     "machines",
 )
-def test_stream_100k_within_10pct_of_baseline(ctx):
-    baseline = json.loads(BASELINE_FILE.read_text())
-    base_rps = baseline["benchmarks"]["stream_100k"]["requests_per_sec"]
-    floor = base_rps * FLOOR_FRACTION
-
-    warm_caches(ctx.models, ctx.device.name)
-    profiles = _profiles_for(ctx.models, ctx.device.name)
-    classes = _request_classes(ctx.models)
-    plans = default_split_plans(ctx.models, ctx.device.name)
-    specs = build_task_specs(
-        profiles, split_plans=plans, plan_kind="split", request_classes=classes
-    )
-    scenario = Scenario("pin-stream-100k", 110.0, "high", n_requests=N)
-
-    best_s = float("inf")
-    for _ in range(3):  # best-of-3 absorbs scheduler noise
-        engine = SequentialEngine(SplitScheduler())
-        qos = StreamingQoS()
-        source = materialize_chunk_stream(
-            WorkloadGenerator(ctx.models, seed=ctx.seed),
-            scenario,
-            specs,
-            pool=RequestPool(),
-        )
-        t0 = time.perf_counter()
-        engine.run_stream(source, qos.observe)
-        best_s = min(best_s, time.perf_counter() - t0)
-        assert qos.n_requests == N
-
-    rps = N / best_s
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_throughput_floor(name):
+    n = WORKLOADS[name]
+    median = _BASELINE[name]["throughput_rps"]["median"]
+    floor = FLOOR_FRACTION * median
+    reps = run_round(name, n, 0, reps=REPS)["reps"]
+    assert [r["problems"] for r in reps] == [[]] * REPS
+    rps = n / min(r["wall_s"] for r in reps)
+    print(f"{name}: {rps:,.0f} req/s, floor {floor:,.0f}")
     assert rps >= floor, (
-        f"streaming throughput regressed: {rps:.0f} req/s vs baseline "
-        f"{base_rps} req/s (floor {floor:.0f}, revision "
-        f"{baseline['revision']})"
+        f"{name} throughput {rps:,.0f} req/s is under its floor "
+        f"{floor:,.0f} (a third of the baseline median {median:,.0f})"
     )

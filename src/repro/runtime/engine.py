@@ -71,17 +71,12 @@ class SequentialEngine:
         robustness: RobustnessConfig | None = None,
         queue_cls: type = RequestQueue,
         hooks: KernelHooks | None = None,
-        fast_lane: bool | None = None,
     ):
         self.scheduler = scheduler
         self.keep_trace = keep_trace
         self.robustness = robustness
         self.queue_cls = queue_cls
         self.hooks = hooks
-        #: Forwarded to the kernel: ``None`` auto-selects the fault-free
-        #: fast lane when eligible, ``False`` forces the reference loop
-        #: (the fast-lane differential tests run both sides through this).
-        self.fast_lane = fast_lane
 
     def _kernel(self, robustness: RobustnessConfig | None) -> EventKernel:
         return EventKernel(
@@ -90,7 +85,6 @@ class SequentialEngine:
             keep_trace=self.keep_trace,
             hooks=self.hooks,
             queue_cls=self.queue_cls,
-            fast_lane=self.fast_lane,
         )
 
     def run(self, arrivals: list[tuple[float, Request]]) -> EngineResult:

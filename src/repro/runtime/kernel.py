@@ -128,11 +128,19 @@ class EngineResult:
 
 
 # ------------------------------------------------------------------ arrivals
+def _arrival_error(t: float) -> SimulationError:
+    """The error for an arrival time outside ``[0, inf)``: negative, or
+    NaN / infinite (which the loops would read as "no arrival")."""
+    kind = "negative" if t < 0 else "non-finite"
+    return SimulationError(f"{kind} arrival time {t}")
+
+
 def validate_batch_arrivals(arrivals: Iterable[tuple[float, Request]]) -> None:
-    """Reject negative arrival times (batch entry points, any order)."""
+    """Reject arrival times that are negative or not finite (batch entry
+    points, any order)."""
     for t, _ in arrivals:
-        if t < 0:
-            raise SimulationError(f"negative arrival time {t}")
+        if not 0.0 <= t < _INF:
+            raise _arrival_error(t)
 
 
 def validated_stream(
@@ -141,13 +149,13 @@ def validated_stream(
     """Lazily validate a time-ordered arrival stream.
 
     The single validator shared by every streaming entry point: negative
-    times and ordering violations raise :class:`SimulationError` with one
-    canonical message format.
+    or non-finite times and ordering violations raise
+    :class:`SimulationError` with one canonical message format.
     """
     last = 0.0
     for t, req in pairs:
-        if t < 0:
-            raise SimulationError(f"negative arrival time {t}")
+        if not 0.0 <= t < _INF:
+            raise _arrival_error(t)
         if t < last:
             raise SimulationError(
                 f"arrival stream not time-ordered: {t} after {last}"
@@ -398,7 +406,6 @@ class EventKernel:
         keep_trace: bool = False,
         hooks: KernelHooks | None = None,
         queue_cls: type = RequestQueue,
-        fast_lane: bool | None = None,
         profiles: "list[NodeProfile | None] | None" = None,
     ):
         if not schedulers:
@@ -431,10 +438,6 @@ class EventKernel:
         self.adapter: QueueAdapter = adapter if adapter is not None else SingleQueue()
         self.robustness = robustness
         self.hooks = hooks
-        #: ``None`` selects the fault-free fast lane automatically when
-        #: eligible; ``False`` forces the reference loop (differential
-        #: tests pin the lanes against each other through this switch).
-        self.fast_lane = fast_lane
         #: Which lane the last :meth:`run` call took ("fast"/"reference").
         self.lane_used: str | None = None
         self._injector: FaultInjector | None = None
@@ -456,8 +459,6 @@ class EventKernel:
         of the two known queue backends (whose batched insert is pinned
         against per-request inserts by the equivalence suite).
         """
-        if self.fast_lane is False:
-            return False
         if self.robustness is not None:
             return False
         hooks = self.hooks
@@ -627,7 +628,8 @@ class EventKernel:
         Fault-free default-configuration runs take the batched fast lane
         (see :meth:`_fast_eligible`); everything else runs the reference
         loop below. Both produce byte-identical traces and float-identical
-        results — the differential suite pins it.
+        results — the differential suites pin each against the frozen
+        pre-kernel engines.
         """
         if self._fast_eligible():
             self.lane_used = "fast"

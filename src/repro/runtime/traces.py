@@ -10,6 +10,7 @@ Poisson generator.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,8 +118,9 @@ def load_trace(path: str | Path) -> list[WorkloadItem]:
             raise SimulationError(f"{path}:{lineno}: bad arrival time") from exc
         if len(row) < 2 or not row[1].strip():
             raise SimulationError(f"{path}:{lineno}: missing model name")
-        if t < 0:
-            raise SimulationError(f"{path}:{lineno}: negative arrival time")
+        if not 0.0 <= t < math.inf:
+            kind = "negative" if t < 0 else "non-finite"
+            raise SimulationError(f"{path}:{lineno}: {kind} arrival time {t}")
         if t < last_t:
             raise SimulationError(f"{path}:{lineno}: arrivals not sorted")
         last_t = t

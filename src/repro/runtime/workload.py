@@ -384,9 +384,12 @@ class RequestChunkStream:
         t_arr = np.asarray(nxt[0], dtype=np.float64)
         times: list[float] = t_arr.tolist()
         if times:
-            # Vectorised equivalent of validated_stream's element checks.
+            # Vectorised equivalent of validated_stream's element checks:
+            # the minimum is NaN when any time is, and a chunk that passes
+            # the order check ends on its largest time.
             if (
-                float(t_arr.min()) < 0.0
+                not 0.0 <= float(t_arr.min())
+                or not times[-1] < math.inf
                 or times[0] < self._last
                 or bool(np.any(np.diff(t_arr) < 0.0))
             ):
@@ -411,6 +414,8 @@ class RequestChunkStream:
         for t in times:
             if t < 0:
                 raise SimulationError(f"negative arrival time {t}")
+            if not t < math.inf:
+                raise SimulationError(f"non-finite arrival time {t}")
             if t < last:
                 raise SimulationError(
                     f"arrival stream not time-ordered: {t} after {last}"

@@ -100,6 +100,7 @@ from repro.server.server import SplitServer
 _EOF = object()
 _CLOSE = None  # writer-task sentinel
 _NAN = float("nan")
+_INF = float("inf")
 
 #: Byte budget per outbound RESULT_BATCH frame (well under MAX_FRAME).
 _BATCH_FRAME_BYTES = 256 * 1024
@@ -1140,9 +1141,11 @@ class NetServer:
                 )
                 continue
             if lockstep:
-                if arrival != arrival or arrival < 0:  # NaN: no stamp
+                if not 0.0 <= arrival < _INF:  # NaN (no stamp), <0 or inf
                     self._protocol_nack(
-                        conn, cid, "lockstep infer needs a nonnegative arrival_ms"
+                        conn,
+                        cid,
+                        "lockstep infer needs a finite nonnegative arrival_ms",
                     )
                     continue
                 if last is None or arrival < last:

@@ -115,6 +115,14 @@ class TestSharding:
             # Enqueue never precedes true arrival: hops only add delay.
             assert np.all(shard.enqueue_ms >= shard.arrival_ms)
 
+    def test_replay_digests_are_the_shard_plans(self, mixed):
+        """The digests a replay reports are those of a fresh ``shard()``
+        of the same scenario: the replay served the plan it names."""
+        orch, res = mixed
+        assert res.digests == {
+            s.node: s.digest() for s in orch.shard(SCENARIO).shards
+        }
+
     def test_transfer_accounted(self, mixed):
         _, res = mixed
         assert res.transfer_hops > 0

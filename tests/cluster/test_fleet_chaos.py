@@ -161,6 +161,14 @@ class TestScriptedFailover:
         gap = shards[0].enqueue_ms
         assert not np.any((gap >= 1_000.0) & (gap < 4_000.0))
 
+    def test_replay_digests_are_the_shard_plans(self, chaos_run):
+        """Under the kill plan too, a replay reports the digests of a
+        fresh ``shard()``: the failover re-deal is part of the plan."""
+        orch, res = chaos_run
+        assert res.digests == {
+            s.node: s.digest() for s in orch.shard(SCENARIO).shards
+        }
+
     def test_jobs_and_rerun_identical(self, chaos_run):
         _orch, res = chaos_run
         again = FleetOrchestrator(

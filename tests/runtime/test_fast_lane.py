@@ -2,12 +2,11 @@
 
 The fast lane (``EventKernel._run_fast``) batches arrival admission,
 settlement and allocation; its contract is *byte-identical traces and
-float-identical QoS* versus the reference loop. This suite pins that by
-running every scenario through both lanes (``fast_lane=None`` auto vs
-``fast_lane=False`` forced-reference) and demanding exact equality — the
-same discipline as ``test_kernel_differential.py``, which independently
-pins the reference loop against the frozen pre-kernel engines (so the
-chain legacy == reference == fast is closed).
+float-identical QoS* versus the loop it replaced. This suite pins that
+against the frozen pre-kernel engine (``_legacy_engines.py``) on the
+list-backed queue and on pooled chunked streams, demanding exact
+equality; ``test_kernel_differential.py`` does the same for the six
+Table-2 batch runs.
 
 Also covered: lane selection (when the fast lane must disengage), the
 chunked arrival source's bit-identity with the element-wise merge,
@@ -40,10 +39,9 @@ from repro.scheduling.queue import ListBackedRequestQueue
 from repro.scheduling.request import Request, RequestPool
 from repro.zoo.registry import EVALUATED_MODELS
 
+from tests.runtime._legacy_engines import LegacySequentialEngine
 from tests.runtime.test_kernel_differential import (
-    bucket_sig,
     canon_trace,
-    curve,
     identity,
     split_specs,
     table2_arrivals,
@@ -79,29 +77,6 @@ def assert_qos_identical(a: StreamingQoS, b: StreamingQoS) -> None:
 
 
 class TestBatchDifferential:
-    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-    def test_traces_buckets_counters_curves_identical(self, scenario):
-        fast_arr = table2_arrivals(scenario)
-        slow_arr = table2_arrivals(scenario)
-        fast = SequentialEngine(SplitScheduler(), keep_trace=True).run(fast_arr)
-        slow = SequentialEngine(
-            SplitScheduler(), keep_trace=True, fast_lane=False
-        ).run(slow_arr)
-        fast_ids, slow_ids = identity(fast_arr), identity(slow_arr)
-        assert canon_trace(fast.trace, fast_ids) == canon_trace(
-            slow.trace, slow_ids
-        )
-        assert bucket_sig(fast.completed, fast_ids) == bucket_sig(
-            slow.completed, slow_ids
-        )
-        assert (fast.n_completed, fast.n_dropped) == (
-            slow.n_completed,
-            slow.n_dropped,
-        )
-        assert fast.context_switches == slow.context_switches
-        assert fast.preemptions == slow.preemptions
-        assert np.array_equal(curve(fast), curve(slow))
-
     @pytest.mark.parametrize("scenario", SCENARIOS[:2], ids=lambda s: s.name)
     def test_list_backend_identical(self, scenario):
         fast_arr = table2_arrivals(scenario)
@@ -109,11 +84,8 @@ class TestBatchDifferential:
         fast = SequentialEngine(
             SplitScheduler(), keep_trace=True, queue_cls=ListBackedRequestQueue
         ).run(fast_arr)
-        slow = SequentialEngine(
-            SplitScheduler(),
-            keep_trace=True,
-            queue_cls=ListBackedRequestQueue,
-            fast_lane=False,
+        slow = LegacySequentialEngine(
+            SplitScheduler(), keep_trace=True, queue_cls=ListBackedRequestQueue
         ).run(slow_arr)
         assert canon_trace(fast.trace, identity(fast_arr)) == canon_trace(
             slow.trace, identity(slow_arr)
@@ -122,25 +94,33 @@ class TestBatchDifferential:
 
 
 class TestStreamingDifferential:
-    def _run(self, n, fast_lane, pool=None, chunk_size=None):
+    def _run(self, n, pool=None, chunk_size=None):
         qos = StreamingQoS()
-        result = SequentialEngine(SplitScheduler(), fast_lane=fast_lane).run_stream(
+        result = SequentialEngine(SplitScheduler()).run_stream(
             chunk_source(n, pool=pool, chunk_size=chunk_size), qos.observe
+        )
+        return qos, result
+
+    def _legacy(self, n):
+        """The frozen pre-kernel loop over the same stream, element-wise."""
+        qos = StreamingQoS()
+        result = LegacySequentialEngine(SplitScheduler()).run_stream(
+            chunk_source(n), qos.observe
         )
         return qos, result
 
     def test_stream_qos_identical(self):
         n = 20_000
-        qf, rf = self._run(n, None, pool=RequestPool())
-        qs, rs = self._run(n, False)
+        qf, rf = self._run(n, pool=RequestPool())
+        qs, rs = self._legacy(n)
         assert_qos_identical(qf, qs)
         assert (rf.n_completed, rf.n_dropped) == (rs.n_completed, rs.n_dropped)
         assert rf.context_switches == rs.context_switches
         assert rf.preemptions == rs.preemptions
 
     def test_chunk_size_invariance(self):
-        qa, _ = self._run(3_000, None, chunk_size=13)
-        qb, _ = self._run(3_000, None)
+        qa, _ = self._run(3_000, chunk_size=13)
+        qb, _ = self._run(3_000)
         assert_qos_identical(qa, qb)
 
     @pytest.mark.skipif(
@@ -149,8 +129,8 @@ class TestStreamingDifferential:
     )
     def test_million_request_stream_identical(self):
         n = 1_000_000
-        qf, rf = self._run(n, None, pool=RequestPool())
-        qs, rs = self._run(n, False)
+        qf, rf = self._run(n, pool=RequestPool())
+        qs, rs = self._legacy(n)
         assert_qos_identical(qf, qs)
         assert rf.n_completed == rs.n_completed == n
         assert rf.context_switches == rs.context_switches
@@ -176,9 +156,6 @@ class TestLaneSelection:
     def test_list_backend_stays_fast(self):
         kernel = self._kernel_run(queue_cls=ListBackedRequestQueue)
         assert kernel.lane_used == "fast"
-
-    def test_forced_off_takes_reference(self):
-        assert self._kernel_run(fast_lane=False).lane_used == "reference"
 
     def test_custom_hooks_take_reference(self):
         class Counting(Hooks):
@@ -258,6 +235,21 @@ class TestChunkedArrivals:
         bad_across.next_chunk()
         with pytest.raises(SimulationError, match="not time-ordered"):
             bad_across.next_chunk()
+
+    @pytest.mark.parametrize("at", (0, 1, 2))
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")), ids=str)
+    def test_non_finite_chunk_times_raise(self, bad, at):
+        """NaN or inf anywhere in a chunk is refused, naming the value."""
+        spec = next(iter(split_specs().values()))
+        times = np.array([1.0, 2.0, 3.0])
+        times[at] = bad
+        stream = RequestChunkStream(
+            iter([(times, np.zeros(3, dtype=np.int64))]), [spec], pool=None
+        )
+        with pytest.raises(
+            SimulationError, match=f"non-finite arrival time {bad}"
+        ):
+            stream.next_chunk()
 
 
 class _CountingSource:
@@ -360,9 +352,10 @@ class TestObserveBatch:
     def test_observe_batch_matches_scalar_observe(self):
         n = 4_000
         terminals: list[tuple[Request, str]] = []
-        # The reference lane emits per element and retains nothing, so the
-        # recorded requests stay valid for replay.
-        SequentialEngine(SplitScheduler(), fast_lane=False).run_stream(
+        # A plain function sink has no batched variant, so the fast lane
+        # calls it once per terminal; without a pool nothing is recycled,
+        # so the recorded requests stay valid for replay.
+        SequentialEngine(SplitScheduler()).run_stream(
             chunk_source(n), lambda req, outcome: terminals.append((req, outcome))
         )
         assert len(terminals) == n

@@ -94,6 +94,36 @@ class TestValidators:
         with pytest.raises(SimulationError, match="not time-ordered"):
             engine.run_stream(bad, lambda req, outcome: None)
 
+    @pytest.mark.parametrize("api", ("run", "run_stream"))
+    @pytest.mark.parametrize(
+        "robustness", (None, RobustnessConfig()), ids=("plain", "robust")
+    )
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda cfg: SequentialEngine(FIFOScheduler(), robustness=cfg),
+            lambda cfg: MultiProcessorEngine(
+                [FIFOScheduler(), FIFOScheduler()], robustness=cfg
+            ),
+        ),
+        ids=("sequential", "multi"),
+    )
+    @pytest.mark.parametrize("bad", (float("inf"), float("nan")), ids=str)
+    def test_non_finite_arrival_refused(self, bad, make, robustness, api):
+        """An arrival at inf or NaN is refused before any request runs:
+        neither served at an infinite time nor lost as "no arrival"."""
+        pairs = arrivals(
+            (0.0, "a", 10.0, None), (bad, "b", 10.0, None), (5.0, "c", 10.0, None)
+        )
+        engine = make(robustness)
+        with pytest.raises(
+            SimulationError, match=f"non-finite arrival time {bad}"
+        ):
+            if api == "run":
+                engine.run(pairs)
+            else:
+                engine.run_stream(iter(pairs), lambda req, outcome: None)
+
 
 class TestAdapters:
     def test_needs_processors(self):

@@ -89,6 +89,24 @@ class TestTraceIO:
         with pytest.raises(SimulationError, match="negative"):
             load_trace(p)
 
+    @pytest.mark.parametrize(
+        "rows, lineno, bad",
+        (
+            ("nan,a\n", 2, "nan"),
+            ("1.0,a\ninf,b\n", 3, "inf"),
+            # A NaN row must not switch off the sort check for the next.
+            ("3.0,a\nnan,b\n1.0,c\ninf,d\n", 3, "nan"),
+        ),
+        ids=("nan", "inf", "nan-then-unsorted"),
+    )
+    def test_non_finite_time_rejected(self, tmp_path, rows, lineno, bad):
+        p = tmp_path / "bad.csv"
+        p.write_text("arrival_ms,model\n" + rows)
+        with pytest.raises(
+            SimulationError, match=f"bad.csv:{lineno}: non-finite arrival time {bad}"
+        ):
+            load_trace(p)
+
     def test_missing_model_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("arrival_ms,model\n1.0,\n")

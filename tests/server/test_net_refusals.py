@@ -1,11 +1,12 @@
 """Refusal parity across codecs.
 
 Every refusal a lockstep server can hand back to an infer — in-flight
-cap, unknown model, stale stamp, missing or negative stamp, infer after
-DRAIN — must reach the client as the same :class:`WireResult` on the
-JSON and the binary codec: same ``id``, ``outcome`` and ``arrival_ms``,
-and the same ``model`` wherever the codec can name it (a binary record
-for a model outside the HELLO table has no name to carry).
+cap, unknown model, stale stamp, missing, negative or infinite stamp,
+infer after DRAIN — must reach the client as the same
+:class:`WireResult` on the JSON and the binary codec: same ``id``,
+``outcome`` and ``arrival_ms``, and the same ``model`` wherever the
+codec can name it (a binary record for a model outside the HELLO table
+has no name to carry).
 
 When one request has two faults the documented precedence decides,
 identically on both codecs: backpressure, then unknown model, then a
@@ -19,6 +20,7 @@ import math
 
 import pytest
 
+from repro.robustness import RetryPolicy, RobustnessConfig
 from repro.server.client import AsyncNetClient
 from repro.server.net import NetServer
 from repro.server.protocol import (
@@ -46,6 +48,7 @@ REFUSALS = (
     ("unknown_model_and_stale", "ghost", 1.0, "unknown_model", 1.0),
     ("missing_arrival", "yolov2", None, "protocol", NAN),
     ("negative_arrival", "yolov2", -1.0, "protocol", NAN),
+    ("infinite_arrival", "yolov2", math.inf, "protocol", NAN),
 )
 
 
@@ -220,9 +223,52 @@ def test_stamp_too_large_for_a_float_is_no_stamp(mode, ftype):
     if mode == "lockstep":
         assert reply_type is FrameType.ERROR
         assert reply["code"] == "protocol"
-        assert reply["message"] == "lockstep infer needs a nonnegative arrival_ms"
+        assert reply["message"] == (
+            "lockstep infer needs a finite nonnegative arrival_ms"
+        )
     else:
         assert reply_type is FrameType.RESULT, reply
         assert reply["model"] == "yolov2"
         assert math.isfinite(reply["arrival_ms"]) and reply["arrival_ms"] >= 0
     assert by_id[2][0] is FrameType.STATS
+
+
+async def _infinite_stamp_exchange(codec: str):
+    """On a robust lockstep server: an infer stamped +inf, then a valid
+    one, then DRAIN and STATS. Returns both replies, the STATS payload and
+    how many admitted requests the server still holds."""
+    server = NetServer(
+        models=MODELS,
+        mode="lockstep",
+        robustness=RobustnessConfig(retry=RetryPolicy(max_retries=1)),
+    )
+    async with server:
+        client = await AsyncNetClient.connect(
+            "127.0.0.1",
+            server.port,
+            codec=CODEC_BINARY if codec == "binary" else None,
+        )
+        try:
+            _cid, bad = await _send(client, "yolov2", math.inf)
+            _cid, good = await _send(client, "yolov2", 1.0)
+            refused = await asyncio.wait_for(bad, 10)
+            await client.drain()
+            served = await asyncio.wait_for(good, 10)
+            stats = await client.stats()
+        finally:
+            await client.close()
+        left = len(server._pending)
+    return refused, served, stats, left
+
+
+@pytest.mark.parametrize("codec", ("json", "binary"))
+def test_infinite_stamp_is_a_protocol_nack(codec):
+    """A lockstep stamp of +inf (a binary double, or JSON ``Infinity``) is
+    refused like a missing one, not admitted as a request that never
+    arrives: DRAIN then leaves nothing in flight."""
+    refused, served, stats, left = asyncio.run(_infinite_stamp_exchange(codec))
+    assert refused.outcome == "protocol" and not refused.ok
+    assert served.outcome == "served"
+    assert stats["server"]["in_flight"] == 0
+    assert stats["lockstep"]["n_completed"] == 1
+    assert left == 0
