@@ -32,7 +32,7 @@ The pipeline, end to end:
    guarantee, each folding terminals into its own
    :class:`~repro.runtime.metrics.StreamingQoS`. Pre-binding each node's
    task catalogue at shard time keeps every node replay on the kernel's
-   fault-free fast lane.
+   batched fast lane.
 4. **Aggregate.** Node accumulators merge in node-index order into one
    fleet-level :class:`StreamingQoS`; with one node and the default
    preset the merged report is float-identical to ``simulate()`` /
@@ -280,11 +280,7 @@ class _ShardSource:
         indices: list[int] = self._model_idx[start:stop].tolist()
         specs = self._specs
         take = self.pool.take
-        requests: list[Request] = []
-        for t, a, k in zip(times, arrivals, indices):
-            req = take(specs[k], t)
-            req.arrival_ms = a
-            requests.append(req)
+        requests = [take(specs[k], a) for a, k in zip(arrivals, indices)]
         return times, requests
 
     def __iter__(self) -> Iterator[tuple[float, Request]]:
@@ -294,6 +290,39 @@ class _ShardSource:
                 return
             yield from zip(chunk[0], chunk[1])
 
+
+class _SegmentSink:
+    """Terminal sink of one finite up-segment of a node's timeline.
+
+    A request served after the segment's end was in flight when the node
+    died, so it settles as ``failed``. The batched variant lets the
+    kernel settle the segment in batches, like a whole-shard run.
+    """
+
+    __slots__ = ("_qos", "_end_ms")
+
+    def __init__(self, qos: StreamingQoS, end_ms: float) -> None:
+        self._qos = qos
+        self._end_ms = end_ms
+
+    def observe(self, request: Request, outcome: str) -> None:
+        self.observe_batch([request], [outcome])
+
+    def observe_batch(
+        self, requests: Sequence[Request], outcomes: Sequence[str]
+    ) -> None:
+        end_ms = self._end_ms
+        self._qos.observe_batch(
+            requests,
+            [
+                "failed"
+                if outcome == "served"
+                and request.finish_ms is not None
+                and request.finish_ms > end_ms
+                else outcome
+                for request, outcome in zip(requests, outcomes)
+            ],
+        )
 
 def _degraded_specs(
     specs: list[TaskSpec], multiplier: float
@@ -376,22 +405,7 @@ def _serve_node(
         if math.isinf(end):
             engine.run_stream(source, qos.observe)
         else:
-            observe = qos.observe
-
-            def seg_sink(
-                request: Request,
-                outcome: str,
-                _end: float = end,
-            ) -> None:
-                if (
-                    outcome == "served"
-                    and request.finish_ms is not None
-                    and request.finish_ms > _end
-                ):
-                    outcome = "failed"
-                observe(request, outcome)
-
-            engine.run_stream(source, seg_sink)
+            engine.run_stream(source, _SegmentSink(qos, end).observe)
     if not bool(covered.all()):
         for gi in np.nonzero(~covered)[0].tolist():
             orphan = Request(

@@ -24,11 +24,14 @@ shedding, and terminal emission. It is parameterized by:
   :func:`fix_plan`, :func:`settle_failure`) from real threads instead of
   the virtual-time loop.
 * an optional :class:`~repro.robustness.RobustnessConfig` — the retry
-  heap, deadline eviction and load shedding are kernel features, not a
-  forked loop. ``robustness=None`` follows the exact float operations of
-  the original fault-free loop, in the same order (results are
-  byte-identical; the differential suite pins this against a frozen
-  pre-kernel copy).
+  heap, deadline eviction, fault decisions and load shedding are kernel
+  features, not a forked loop. Both of the kernel's loops carry them:
+  the batched single-processor loop, which every run without several
+  processors, node profiles or hook subclasses takes, and the reference
+  loop, which keeps those. ``robustness=None`` follows the exact float
+  operations of the original fault-free loop, in the same order
+  (results are byte-identical; the differential suite pins this against
+  a frozen pre-kernel copy).
 * a :class:`KernelHooks` observer with no-op defaults — the substrate
   that trace capture, streaming QoS sinks and future observability plug
   into instead of being hand-wired per loop. Hooks are notification-only:
@@ -448,19 +451,19 @@ class EventKernel:
 
     # ----------------------------------------------------------- fast lane
     def _fast_eligible(self) -> bool:
-        """Whether :meth:`run` may take the fault-free fast lane.
+        """Whether :meth:`run` may take the batched fast lane.
 
         The fast lane replays the reference loop's float operations in the
         same order but batches arrival admission and terminal settlement;
         that is only sound when nothing can observe the intermediate
-        states it skips: no robustness machinery (retries, deadlines,
-        shedding, fault injection), no observer hooks beyond the no-op
-        defaults, a single processor behind the trivial adapter, and one
-        of the two known queue backends (whose batched insert is pinned
-        against per-request inserts by the equivalence suite).
+        states it skips: no observer hooks beyond the no-op defaults, a
+        single processor behind the trivial adapter, no node profile, and
+        one of the two known queue backends (whose batched insert is
+        pinned against per-request inserts by the equivalence suite).
+        Robustness settings do not disqualify a run: the fast lane runs
+        the same retry heap, deadline eviction, fault decisions and load
+        shedding, and batches admission only where no shed check can fire.
         """
-        if self.robustness is not None:
-            return False
         hooks = self.hooks
         if hooks is not None and type(hooks) is not Hooks:
             return False
@@ -625,11 +628,13 @@ class EventKernel:
         request exactly once. Counters and traces accumulate on
         ``result``, which is returned for convenience.
 
-        Fault-free default-configuration runs take the batched fast lane
-        (see :meth:`_fast_eligible`); everything else runs the reference
-        loop below. Both produce byte-identical traces and float-identical
-        results — the differential suites pin each against the frozen
-        pre-kernel engines.
+        Single-processor runs without hook subclasses or node profiles —
+        robust or not — take the batched fast lane (see
+        :meth:`_fast_eligible`); runs with several processors, node
+        profiles or hook subclasses run the reference loop below. Both
+        produce byte-identical traces and float-identical results — the
+        differential suites pin each against the frozen pre-kernel
+        engines.
         """
         if self._fast_eligible():
             self.lane_used = "fast"
@@ -798,20 +803,29 @@ class EventKernel:
         emit: RecordSink,
         result: EngineResult,
     ) -> EngineResult:
-        """The fault-free fast lane: the reference loop with its three
+        """The batched lane: the reference loop with its three
         per-request costs batched away.
 
-        Same event order, same float operations (the differential suite
-        pins byte-identical traces and float-identical QoS), reached by
-        exploiting three invariants of the fault-free single-processor
-        loop: (a) while a block runs, every arrival at or before its end
-        is admitted consecutively with no other event in between, so a
-        whole run of pending arrivals can be admitted in one
-        ``bulk_admit`` call; (b) after a finish drains the queue, the next
-        arrival's own time is the grant time; (c) terminal settlement is
+        Same event order, same float operations (the differential suites
+        pin byte-identical traces and float-identical QoS), reached by
+        exploiting three invariants of the single-processor loop: (a)
+        while a block runs, every arrival at or before ``min(block end,
+        next retry)`` is admitted consecutively with no other event in
+        between, so a whole run of pending arrivals can be admitted in one
+        ``bulk_admit`` call — when no shed check can fire inside the run
+        (no shedder, or a depth-only shedder whose cap the run cannot
+        pass); otherwise the run is admitted one arrival at a time, each
+        followed by its shed check; (b) an idle processor has an empty
+        queue, so the next arrival (or a retry due before it) opens
+        service at its own time; (c) terminal settlement is
         order-sensitive only in the sink-call sequence, so terminals are
         buffered and flushed through the sink's batched variant
-        (``observe_batch``) in original order.
+        (``observe_batch``) in completion order.
+
+        A :class:`RobustnessConfig` arms the reference loop's retry heap,
+        deadline eviction, fault decisions and load shedding here too;
+        each sits behind a per-run local, so a fault-free run pays one
+        test per event for them.
 
         Arrivals come from a :class:`ChunkSource` (structure-of-arrays
         chunks, ~zero allocation with a request pool), a pre-validated
@@ -885,9 +899,49 @@ class EventKernel:
                 for done_req, outcome in zip(out_reqs, out_outcomes):
                     emit(done_req, outcome)
             if pool is not None:
+                # The batch's latest served request may still be the last
+                # one executed (every other terminal clears that memory);
+                # taken from the pool again, it would read as the same
+                # request at the next grant. It stays out of the pool.
+                keep = len(out_outcomes) - 1
+                while keep >= 0 and out_outcomes[keep] != "served":
+                    keep -= 1
+                if keep >= 0:
+                    del out_reqs[keep]
                 pool.recycle(out_reqs)
             out_reqs.clear()
             out_outcomes.clear()
+
+        # -- robustness, each piece behind a local -----------------------
+        cfg = self.robustness
+        robust = cfg is not None
+        injector = self._injector
+        shedder = self._shedder
+        retry: RetryPolicy | None = cfg.retry if cfg is not None else None
+        deadline_of = (
+            cfg.deadline_ms
+            if cfg is not None
+            and (cfg.timeout_rr is not None or cfg.timeout_ms is not None)
+            else None
+        )
+        # The deepest queue a bulk-admitted run may leave behind: a shed
+        # check inside a run that stays within the depth cap cannot fire,
+        # while a backlog cap may fire on any admission.
+        bulk_depth = 0
+        if shedder is not None and shedder.config.max_backlog_ms is None:
+            bulk_depth = shedder.config.max_queue_depth or 0
+        fault_drop, fault_stall = FaultKind.DROP, FaultKind.STALL
+        fault_fail = FaultKind.FAIL
+        retry_heap: list[tuple[float, int, int, Request]] = []
+        retry_seq = itertools.count()
+
+        def settle(req: Request, outcome: str) -> None:
+            """Buffer a robust run's terminal under its outcome label."""
+            req.outcome = outcome
+            out_reqs.append(req)
+            out_outcomes.append(outcome)
+            if len(out_reqs) >= _FAST_CHUNK:
+                flush()
 
         # -- the loop, over locals ---------------------------------------
         proc_now = proc.now
@@ -896,6 +950,13 @@ class EventKernel:
         n_dropped = 0
         context_switches = 0
         preemptions = 0
+        retries = 0
+        stalls = 0
+        fault_fails = 0
+        fault_drops = 0
+        pending_fail = False
+        # A robust grant's fault verdict; None throughout a fault-free run.
+        decision: FaultDecision | None = None
         running: Request | None = None
         last_executed: Request | None = proc.last_executed
         block_start = proc.block_start
@@ -905,55 +966,105 @@ class EventKernel:
 
         while True:
             if running is None:
-                # Idle processor == empty queue (fault-free invariant):
-                # the next arrival opens service at its own time.
-                if i >= n and (exhausted or not refill()):
+                # Idle processor == empty queue: the next arrival, or a
+                # retry due strictly before it, opens service at its own
+                # time.
+                if i >= n and not exhausted and not refill():
+                    exhausted = True
+                if retry_heap and (i >= n or retry_heap[0][0] < times[i]):
+                    now, _, _, req = heapq.heappop(retry_heap)
+                    proc_now = now
+                    if deadline_of is not None and now >= deadline_of(req):
+                        settle(req, "timed_out")
+                        continue
+                elif i < n:
+                    now = times[i]
+                    req = reqs[i]
+                    i += 1
+                    proc_now = now
+                    dispatched += 1
+                else:
                     break
-                t = times[i]
-                req = reqs[i]
-                i += 1
-                proc_now = t
-                dispatched += 1
-                if not scheduler.on_arrival(queue, req, t):
+                if not scheduler.on_arrival(queue, req, now):
                     n_dropped += 1
+                    if robust:
+                        req.outcome = "rejected"
                     out_reqs.append(req)
                     out_outcomes.append("rejected")
                     if len(out_reqs) >= _FAST_CHUNK:
                         flush()
                     continue
-                now = t
+                if shedder is not None:
+                    # The queue holds only this request, which was never
+                    # the last one executed (a parked retry forgot it).
+                    for victim in shedder.select_victims(queue, now):
+                        queue.remove(victim)
+                        settle(victim, "shed")
+                    if not queue_items:
+                        continue
             else:
-                # Admit every arrival at or before the running block's end
-                # (arrival fires before finish on exact ties). Nothing else
-                # can happen in between, so whole runs settle at once.
+                # Admit every arrival at or before min(block end, next
+                # retry), then the retry if it is due by the block's end,
+                # and round again (on exact ties an arrival fires before a
+                # retry, and a retry before a finish).
                 while True:
+                    bound = block_end
+                    if retry_heap and retry_heap[0][0] < bound:
+                        bound = retry_heap[0][0]
                     if i < n:
-                        j = bisect_right(times, block_end, i)
+                        j = bisect_right(times, bound, i)
                         if j > i:
                             dispatched += j - i
                             proc_now = times[j - 1]
                             batch = reqs[i:j]
-                            if bulk is not None:
+                            if bulk is not None and (
+                                shedder is None
+                                or len(queue_items) + j - i <= bulk_depth
+                            ):
                                 i = j
                                 bulk(queue, batch)
                             else:
                                 batch_ts = times[i:j]
                                 i = j
                                 for bi, breq in enumerate(batch):
-                                    if not scheduler.on_arrival(
-                                        queue, breq, batch_ts[bi]
-                                    ):
+                                    bt = batch_ts[bi]
+                                    if not scheduler.on_arrival(queue, breq, bt):
                                         n_dropped += 1
+                                        if robust:
+                                            breq.outcome = "rejected"
                                         out_reqs.append(breq)
                                         out_outcomes.append("rejected")
+                                    elif shedder is not None:
+                                        for victim in shedder.select_victims(
+                                            queue, bt, exclude=running
+                                        ):
+                                            queue.remove(victim)
+                                            settle(victim, "shed")
                                 if len(out_reqs) >= _FAST_CHUNK:
                                     flush()
-                        if i < n:
-                            break  # next arrival is past this block
-                    if exhausted or not refill():
+                    if i >= n and not exhausted:
+                        if refill():
+                            continue
                         exhausted = True
-                        break
-                # Finish the running block.
+                    # Any further arrival is past `bound`.
+                    if retry_heap and retry_heap[0][0] <= block_end:
+                        now, _, _, req = heapq.heappop(retry_heap)
+                        proc_now = now
+                        if deadline_of is not None and now >= deadline_of(req):
+                            settle(req, "timed_out")
+                        elif not scheduler.on_arrival(queue, req, now):
+                            n_dropped += 1
+                            settle(req, "rejected")
+                        elif shedder is not None:
+                            for victim in shedder.select_victims(
+                                queue, now, exclude=running
+                            ):
+                                queue.remove(victim)
+                                settle(victim, "shed")
+                        continue
+                    break
+                # Finish the running block (the running request is the
+                # last one executed).
                 now = block_end
                 proc_now = now
                 req = running
@@ -965,54 +1076,119 @@ class EventKernel:
                             block_index=req.next_block - 1,
                             start_ms=block_start,
                             end_ms=now,
-                            failed=False,
+                            failed=pending_fail,
                         )
                     )
-                plan = req.plan_ms
-                assert plan is not None
-                if req.next_block == len(plan):
-                    req.finish_ms = now
+                if pending_fail:
+                    pending_fail = False
+                    fault_fails += 1
+                    req.unpop_block()
+                    req.retries += 1
                     queue.remove(req)
-                    n_completed += 1
-                    out_reqs.append(req)
-                    out_outcomes.append("served")
-                    if len(out_reqs) >= _FAST_CHUNK:
-                        flush()
+                    last_executed = None
+                    assert retry is not None
+                    if retry.exhausted(req.retries):
+                        settle(req, "failed")
+                    else:
+                        retries += 1
+                        heapq.heappush(
+                            retry_heap,
+                            (
+                                now + retry.backoff_ms(req.retries - 1),
+                                next(retry_seq),
+                                0,
+                                req,
+                            ),
+                        )
+                else:
+                    plan = req.plan_ms
+                    assert plan is not None
+                    if req.next_block == len(plan):
+                        req.finish_ms = now
+                        queue.remove(req)
+                        if not robust:
+                            n_completed += 1
+                            out_reqs.append(req)
+                            out_outcomes.append("served")
+                            if len(out_reqs) >= _FAST_CHUNK:
+                                flush()
+                        elif deadline_of is not None and now > deadline_of(req):
+                            # Finished, but past the client's deadline.
+                            last_executed = None
+                            settle(req, "timed_out")
+                        else:
+                            n_completed += 1
+                            settle(req, "served")
                 if not queue_items:
                     running = None
                     block_end = _INF
                     continue
-            # ---- grant (the reference _grant, fault-free, inlined) ----
-            if default_select:
-                head = queue.peek()
-            else:
-                idx = scheduler.select(queue, now)
-                if idx != 0:
-                    queue.move_to_front(idx)
-                head = queue.peek()
-            switch_cost = 0.0
-            last = last_executed
-            if (
-                last is not None
-                and last is not head
-                and last.finish_ms is None
-                and last.first_start_ms is not None
-            ):
-                switch_cost = overhead
-                last.preemptions += 1
-                preemptions += 1
-            if last is not None and last is not head:
-                context_switches += 1
-            if head.first_start_ms is None:
-                head.begin(scheduler.plan_for(head, queue, now), now)
-            head_plan = head.plan_ms
-            assert head_plan is not None
-            nb = head.next_block
-            head.next_block = nb + 1
-            block_start = now + switch_cost
-            block_end = block_start + head_plan[nb]
-            running = head
-            last_executed = head
+            # ---- grant (the reference _grant, inlined) -----------------
+            while True:
+                if default_select:
+                    head = queue.peek()
+                else:
+                    idx = scheduler.select(queue, now)
+                    if idx != 0:
+                        queue.move_to_front(idx)
+                    head = queue.peek()
+                if robust:
+                    decision = None
+                    evict = None
+                    if deadline_of is not None and now >= deadline_of(head):
+                        evict = "timed_out"
+                    elif injector is not None:
+                        decision = injector.decide(
+                            head.task.name,
+                            head.arrival_ms,
+                            head.next_block,
+                            head.retries,
+                        )
+                        if decision is not None and decision.kind is fault_drop:
+                            fault_drops += 1
+                            evict = "failed"
+                    if evict is not None:
+                        queue.remove(head)
+                        if last_executed is head:
+                            last_executed = None
+                        settle(head, evict)
+                        if queue_items:
+                            continue
+                        running = None
+                        block_end = _INF
+                        break
+                switch_cost = 0.0
+                last = last_executed
+                if (
+                    last is not None
+                    and last is not head
+                    and last.finish_ms is None
+                    and last.first_start_ms is not None
+                ):
+                    switch_cost = overhead
+                    last.preemptions += 1
+                    preemptions += 1
+                if last is not None and last is not head:
+                    context_switches += 1
+                if head.first_start_ms is None:
+                    head.begin(scheduler.plan_for(head, queue, now), now)
+                head_plan = head.plan_ms
+                assert head_plan is not None
+                nb = head.next_block
+                head.next_block = nb + 1
+                block_start = now + switch_cost
+                block_end = block_start + head_plan[nb]
+                running = head
+                last_executed = head
+                if decision is not None:
+                    if decision.kind is fault_stall:
+                        block_end = block_start + head_plan[nb] * (
+                            decision.stall_factor
+                        )
+                        stalls += 1
+                    elif decision.kind is fault_fail:
+                        pending_fail = True
+                break
 
         flush()
         proc.now = proc_now
@@ -1025,6 +1201,10 @@ class EventKernel:
         result.n_dropped += n_dropped
         result.context_switches += context_switches
         result.preemptions += preemptions
+        result.retries += retries
+        result.stalls += stalls
+        result.fault_fails += fault_fails
+        result.fault_drops += fault_drops
         if len(queue):
             raise SimulationError(
                 f"engine finished with {len(queue)} requests still queued"

@@ -321,7 +321,7 @@ class StreamingQoS:
         latencies), and the order-sensitive float accumulators (Welford
         moments, response-ratio sums) fold sequentially over each
         accumulator's own subsequence, which is exactly the state repeated
-        scalar adds leave behind. The kernel's fault-free fast lane
+        scalar adds leave behind. The kernel's batched fast lane
         resolves this method by naming convention (``observe`` ->
         ``observe_batch``) and delivers whole settlement chunks here.
         """

@@ -316,7 +316,7 @@ def simulate_stream(
     :class:`~repro.scheduling.request.RequestPool` (terminal requests are
     recycled by the kernel's fast lane, so steady-state allocation is
     ~zero), the engine's ``run_stream`` consumes it chunk-wise on the fast
-    lane (element-wise on the reference lane), and every terminal request
+    lane, robust or not, and every terminal request
     folds into a :class:`~repro.runtime.metrics.StreamingQoS` accumulator.
     The
     scheduling decisions — and therefore every QoS number on the shared

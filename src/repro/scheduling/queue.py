@@ -354,7 +354,7 @@ class RequestQueue:
         directly and memoises the (new task, compressed-run task) stop
         verdict, so a chunk of same-task arrivals classifies against each
         run in O(1) after the first comparison. This is the admission path
-        of the kernel's fault-free fast lane.
+        of the kernel's batched fast lane.
         """
         items = self._items
         runs = self._runs

@@ -31,7 +31,7 @@ record on JSON. Echo rides the one in-flight ledger in both modes.
 
 The hot path is batched end to end: INFER_BATCH frames land as whole
 arrival chunks on the lockstep engine's intake (driving the kernel's
-fault-free fast lane through ``bulk_admit``), terminal settlement goes
+batched lane through ``bulk_admit``), terminal settlement goes
 through :meth:`Responder.settle_batch` under one lock, and results flow
 back with one event-loop hop per sink batch and RESULT_BATCH frames on
 binary connections. Each connection's writer coalesces queued frames
@@ -117,12 +117,12 @@ class _IntakeSource:
     """The lockstep intake as a kernel :class:`ChunkSource`.
 
     Wire handlers put validated, time-ordered ``(times, requests)``
-    chunks; the engine thread consumes them — chunk-wise through
-    :meth:`next_chunk` on the fast lane (whole chunks reach
-    ``bulk_admit``), element-wise through ``__iter__`` on the reference
-    lane (robustness armed). Chunks are validated at intake (nonnegative,
-    nondecreasing within and across chunks), which is the ChunkSource
-    contract that lets the engine skip per-element revalidation.
+    chunks; the engine thread consumes them chunk-wise through
+    :meth:`next_chunk` on the kernel's batched lane, robust or not (whole
+    chunks reach ``bulk_admit`` where no shed check can fire). Chunks are
+    validated at intake (nonnegative, nondecreasing within and across
+    chunks), which is the ChunkSource contract that lets the engine skip
+    per-element revalidation.
     ``pool`` is None: wire requests are never recycled, the settlement
     path still reads them after the sink returns.
     """
@@ -160,8 +160,8 @@ class _LockstepCore:
     infer frames put time-ordered ``(times, requests)`` chunks, the
     drain frame puts an EOF sentinel, and terminal requests settle
     through the batched sink — the exact event order of the simulator,
-    because it *is* the simulator's loop (the fault-free configuration
-    takes the kernel's batched fast lane).
+    because it *is* the simulator's loop (the kernel's batched lane, with
+    or without robustness settings).
     """
 
     def __init__(
@@ -236,10 +236,10 @@ class _LockstepCore:
             self._responder.abort_pending()
             self._on_abort()
 
-    # The scalar sink plus its `_batch` variant: the kernel fast lane
-    # resolves `_sink` -> `_sink_batch` by naming convention and flushes
-    # buffered terminals through it; the reference lane (robustness
-    # armed) calls the scalar once per terminal. Both must be observably
+    # The scalar sink plus its `_batch` variant: the kernel's batched
+    # lane resolves `_sink` -> `_sink_batch` by naming convention and
+    # flushes buffered terminals through it; the reference lane would
+    # call the scalar once per terminal. Both must be observably
     # identical, so the scalar is the one-element batch.
     def _sink(self, request: Request, outcome: str) -> None:
         self._settle([request], [outcome])
@@ -843,10 +843,15 @@ class NetServer:
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict[str, Any]:
-        """Serving + net counters, the stats frame's payload."""
+        """Serving + net counters, the stats frame's payload. On a
+        lockstep server ``server.in_flight`` is the wire ledger's size:
+        every admitted request that has no reply yet."""
+        server = self.split.stats()
+        if self._core is not None:
+            server["in_flight"] = len(self._pending)
         out: dict[str, Any] = {
             "mode": self.mode,
-            "server": self.split.stats(),
+            "server": server,
             "net": {
                 "connections": sum(len(s.conns) for s in self._shards),
                 "connections_total": self.connections_total,
@@ -1240,8 +1245,9 @@ class NetServer:
                 conn.send_bytes(frame)
 
     def _abort_lockstep(self) -> None:
-        """Engine crash: no request may hang — every pending wire request
-        gets a terminal ``failed`` reply in its connection's codec."""
+        """Engine crash, or a drained engine that left requests unsettled:
+        no request may hang — every pending wire request gets a terminal
+        ``failed`` reply in its connection's codec."""
         pending, self._pending = self._pending, {}
         replies: dict[_Connection, list[tuple]] = {}
         for conn, cid, echo, request in pending.values():
@@ -1340,6 +1346,23 @@ class NetServer:
                         "id": cid,
                         "code": ERR_BAD_STATE,
                         "message": f"lockstep engine failed: {core.error}",
+                    },
+                )
+                return
+            lost = len(self._pending)
+            if lost:
+                # The engine ran dry without settling these: no request
+                # may hang, so each gets a terminal `failed` reply.
+                self._abort_lockstep()
+                conn.send(
+                    FrameType.ERROR,
+                    {
+                        "id": cid,
+                        "code": ERR_BAD_STATE,
+                        "message": (
+                            f"lockstep engine drained with {lost} admitted "
+                            "requests unsettled"
+                        ),
                     },
                 )
                 return

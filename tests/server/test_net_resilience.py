@@ -10,7 +10,10 @@ The failure contract of the socket layer after this suite:
   — killing a server mid-replay leaves nothing waiting forever;
 * an opt-in :class:`RetryPolicy` redials with bounded backoff and
   replays still-unacknowledged tracked infers under their original ids,
-  so each future settles exactly once with its own reply.
+  so each future settles exactly once with its own reply;
+* an admitted lockstep request the engine never settles shows in STATS'
+  ``in_flight``, and DRAIN answers it with a terminal ``failed`` reply
+  and itself with ``bad_state`` instead of ACKing a drained server.
 """
 
 import asyncio
@@ -18,7 +21,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConnectionLost, RequestTimeout, ServerError
-from repro.robustness import RetryPolicy
+from repro.robustness import RetryPolicy, RobustnessConfig
 from repro.server.client import AsyncNetClient, replay_items_async
 from repro.server.net import NetServer
 from repro.server.protocol import CODEC_BINARY
@@ -260,3 +263,66 @@ class TestReconnect:
             await client.close()
 
         asyncio.run(run())
+
+
+#: The arrival stamp of the request whose settlement :class:`_LosingServer`
+#: drops.
+LOST_MS = 2.0
+
+
+class _LosingServer(NetServer):
+    """A lockstep server whose settlement silently drops the request
+    stamped :data:`LOST_MS`: a stand-in for any request the engine loses."""
+
+    def _settle_lockstep(self, requests, outcomes):
+        kept = [
+            (request, outcome)
+            for request, outcome in zip(requests, outcomes)
+            if request.arrival_ms != LOST_MS
+        ]
+        super()._settle_lockstep(
+            [request for request, _ in kept], [outcome for _, outcome in kept]
+        )
+
+
+async def _lost_settlement_exchange(codec):
+    """Three infers on a robust lockstep :class:`_LosingServer`, then
+    STATS, DRAIN, the three replies and STATS again."""
+    server = _LosingServer(
+        models=(MODEL,),
+        mode="lockstep",
+        robustness=RobustnessConfig(retry=RetryPolicy(max_retries=1)),
+    )
+    async with server:
+        client = await AsyncNetClient.connect(
+            "127.0.0.1",
+            server.port,
+            codec=CODEC_BINARY if codec == "binary" else None,
+        )
+        try:
+            futures = [
+                await client.submit(MODEL, arrival_ms)
+                for arrival_ms in (1.0, LOST_MS, 3.0)
+            ]
+            before = await client.stats()
+            drained = await asyncio.wait_for(client.drain(), timeout=15)
+            results = [await asyncio.wait_for(f, timeout=15) for f in futures]
+            after = await client.stats()
+        finally:
+            await client.close()
+    return before, drained, results, after
+
+
+@pytest.mark.net
+@pytest.mark.parametrize("codec", ("json", "binary"))
+def test_unsettled_lockstep_request_is_visible_and_failed_at_drain(codec):
+    before, drained, results, after = asyncio.run(
+        _lost_settlement_exchange(codec)
+    )
+    # Admitted and unanswered: the batched lane settles at DRAIN.
+    assert before["server"]["in_flight"] == 3
+    assert drained["code"] == "bad_state", drained
+    assert "1 admitted requests unsettled" in drained["message"]
+    assert [r.outcome for r in results] == ["served", "failed", "served"]
+    assert [r.arrival_ms for r in results] == [1.0, LOST_MS, 3.0]
+    assert after["server"]["in_flight"] == 0
