@@ -30,9 +30,10 @@ The pipeline, end to end:
    interact after sharding — that is what no-migration buys), fanned out
    via :func:`~repro.runtime.sweeps.sweep_map` with its ordered-collection
    guarantee, each folding terminals into its own
-   :class:`~repro.runtime.metrics.StreamingQoS`. Pre-binding each node's
-   task catalogue at shard time keeps every node replay on the kernel's
-   batched fast lane.
+   :class:`~repro.runtime.metrics.StreamingQoS`. Each node's task
+   catalogue is pre-bound at shard time, because the kernel's batched
+   one-processor loop, which every node replay runs, takes no node
+   profile.
 4. **Aggregate.** Node accumulators merge in node-index order into one
    fleet-level :class:`StreamingQoS`; with one node and the default
    preset the merged report is float-identical to ``simulate()`` /
@@ -47,7 +48,7 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -282,13 +283,6 @@ class _ShardSource:
         take = self.pool.take
         requests = [take(specs[k], a) for a, k in zip(arrivals, indices)]
         return times, requests
-
-    def __iter__(self) -> Iterator[tuple[float, Request]]:
-        while True:
-            chunk = self.next_chunk()
-            if chunk is None:
-                return
-            yield from zip(chunk[0], chunk[1])
 
 
 class _SegmentSink:

@@ -1,12 +1,14 @@
 """Discrete-event serving runtime for the shared edge GPU.
 
-One discrete-event loop — :class:`EventKernel` — owns virtual time, the
-arrival stream and the block dispatch/finish cycle (see
-``docs/kernel.md``). :class:`SequentialEngine` (one processor, one queue)
-and :class:`MultiProcessorEngine` (k processors behind a router) are thin
-adapters over it; both execute one block at a time (non-preemptible
-mid-block, preemptible at boundaries) under pluggable schedulers and
-share the kernel's robustness features and streaming sinks.
+One discrete-event kernel — :class:`EventKernel` — owns virtual time,
+the arrival stream and the block dispatch/finish cycle (see
+``docs/kernel.md``), with one loop per engine shape.
+:class:`SequentialEngine` (one processor, no router: the batched loop)
+and :class:`MultiProcessorEngine` (k processors behind a router: the
+routed loop) are thin adapters over it; both execute one block at a time
+(non-preemptible mid-block, preemptible at boundaries) under pluggable
+schedulers and share the kernel's robustness features and streaming
+sinks.
 :class:`ConcurrentEngine` models RT-A's multi-stream co-execution via
 contention-degraded processor sharing and keeps its own loop.
 :func:`simulate` wires profiles, partitions, workloads and engines
@@ -17,13 +19,9 @@ from repro.runtime.trace import ExecutionTrace, TraceEntry
 from repro.runtime.kernel import (
     EngineResult,
     EventKernel,
-    Hooks,
-    KernelHooks,
     ProcState,
     RecordSink,
-    RoutedQueues,
     Router,
-    SingleQueue,
     batch_sink,
     validate_batch_arrivals,
     validated_stream,
@@ -83,13 +81,9 @@ __all__ = [
     "TraceEntry",
     "EngineResult",
     "EventKernel",
-    "Hooks",
-    "KernelHooks",
     "ProcState",
     "RecordSink",
-    "RoutedQueues",
     "Router",
-    "SingleQueue",
     "batch_sink",
     "validate_batch_arrivals",
     "validated_stream",

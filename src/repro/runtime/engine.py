@@ -7,8 +7,9 @@ request defers *all* of its remaining blocks (full preemption, Fig. 3) —
 that falls out of the queue discipline, because the preempted request
 simply sits behind the preemptor until re-selected.
 
-Both entry points drive the unified discrete-event kernel
-(:mod:`repro.runtime.kernel`) with a single-queue adapter:
+Both entry points drive the discrete-event kernel
+(:mod:`repro.runtime.kernel`) without a router, which runs its batched
+one-processor loop:
 
 * :meth:`SequentialEngine.run` — the batch API: takes the full arrival
   list, returns an :class:`EngineResult` holding every terminal request.
@@ -39,7 +40,6 @@ from repro.robustness.config import RobustnessConfig
 from repro.runtime.kernel import (
     EngineResult,
     EventKernel,
-    KernelHooks,
     RecordSink,
     batch_sink,
     validate_batch_arrivals,
@@ -59,9 +59,7 @@ class SequentialEngine:
     :class:`RequestQueue` is the deque-backed fast structure, while
     :class:`~repro.scheduling.queue.ListBackedRequestQueue` reproduces the
     original list costs (used by the benchmarks as the asymptotic
-    baseline — both order requests identically). ``hooks`` plugs a
-    :class:`~repro.runtime.kernel.KernelHooks` observer into the kernel's
-    lifecycle edges (admit/dispatch/block-finish/preempt/retry/terminal).
+    baseline — both order requests identically).
     """
 
     def __init__(
@@ -70,20 +68,17 @@ class SequentialEngine:
         keep_trace: bool = False,
         robustness: RobustnessConfig | None = None,
         queue_cls: type = RequestQueue,
-        hooks: KernelHooks | None = None,
     ):
         self.scheduler = scheduler
         self.keep_trace = keep_trace
         self.robustness = robustness
         self.queue_cls = queue_cls
-        self.hooks = hooks
 
-    def _kernel(self, robustness: RobustnessConfig | None) -> EventKernel:
+    def _kernel(self) -> EventKernel:
         return EventKernel(
             [self.scheduler],
-            robustness=robustness,
+            robustness=self.robustness,
             keep_trace=self.keep_trace,
-            hooks=self.hooks,
             queue_cls=self.queue_cls,
         )
 
@@ -96,10 +91,10 @@ class SequentialEngine:
         # One stable sort up front replaces a heap push/pop per request;
         # ties break on input position, exactly like the old (t, i) heap.
         schedule = sorted(arrivals, key=lambda pair: pair[0])
-        kernel = self._kernel(self.robustness)
+        kernel = self._kernel()
         result = EngineResult(trace=kernel.procs[0].trace)
-        # The sorted list goes to the kernel as-is: the fast lane consumes
-        # it in place, the reference lane iterates it.
+        # The sorted list goes to the kernel as-is: the batched loop
+        # consumes it in place.
         kernel.run(schedule, batch_sink(result), result)
         return result
 
@@ -126,12 +121,11 @@ class SequentialEngine:
         ``preemptions``, the robustness totals, and the trace when
         ``keep_trace`` is set) with empty per-request lists.
         """
-        kernel = self._kernel(self.robustness)
+        kernel = self._kernel()
         result = EngineResult(trace=kernel.procs[0].trace)
         if hasattr(arrivals, "next_chunk"):
             # Chunk-capable sources (see kernel.ChunkSource) validate
-            # their own chunks: the fast lane consumes them whole, the
-            # reference lane iterates the same source element-wise.
+            # their own chunks, and the batched loop consumes them whole.
             kernel.run(arrivals, sink, result)
         else:
             kernel.run(validated_stream(arrivals), sink, result)

@@ -1,4 +1,4 @@
-"""The discrete-event kernel every execution path runs on.
+"""The discrete-event kernel every engine-shaped execution path runs on.
 
 Before this module existed, the paper's online contribution — greedy
 preemption at block boundaries (Algorithm 1, Eq. 3) — was re-implemented
@@ -8,41 +8,38 @@ Each copy had to independently preserve the dispatch contract the
 run-length queue optimisation relies on (see ``docs/kernel.md``), and
 features landed unevenly: streaming rejected robustness, the multi
 engine had neither. Clockwork and PREMA both structure their simulators
-around one event core with pluggable policy/telemetry surfaces; this is
-that core.
+around one event core with pluggable policies; this is that core.
 
 One :class:`EventKernel` owns virtual time, the pending-arrival stream,
 the block dispatch/finish cycle, retry parking, deadline eviction, load
-shedding, and terminal emission. It is parameterized by:
+shedding, and terminal emission. Its loop follows from its shape:
 
-* a **queue adapter** — how arrivals map to processor queues.
-  :class:`SingleQueue` (one processor, one queue) serves the sequential
-  engine; :class:`RoutedQueues` (per-processor queues behind an
-  arrival-time router) serves the multi engine. The live server's
-  token-gated queue reuses the kernel's dispatch/settlement primitives
-  (:func:`select_head`, :func:`fault_decision`, :func:`is_preemption`,
-  :func:`fix_plan`, :func:`settle_failure`) from real threads instead of
-  the virtual-time loop.
-* an optional :class:`~repro.robustness.RobustnessConfig` — the retry
-  heap, deadline eviction, fault decisions and load shedding are kernel
-  features, not a forked loop. Both of the kernel's loops carry them:
-  the batched single-processor loop, which every run without several
-  processors, node profiles or hook subclasses takes, and the reference
-  loop, which keeps those. ``robustness=None`` follows the exact float
-  operations of the original fault-free loop, in the same order
-  (results are byte-identical; the differential suite pins this against
-  a frozen pre-kernel copy).
-* a :class:`KernelHooks` observer with no-op defaults — the substrate
-  that trace capture, streaming QoS sinks and future observability plug
-  into instead of being hand-wired per loop. Hooks are notification-only:
-  they see every lifecycle edge but cannot perturb scheduling.
+* **No router:** one processor and one queue, served by the batched loop.
+  :class:`~repro.runtime.engine.SequentialEngine`, the fleet's per-node
+  replays and the lockstep server run it. It admits runs of arrivals in
+  bulk and settles terminals in batches.
+* **A router:** k processors behind an arrival-time :data:`Router`, each
+  optionally bound to a node profile, served by the routed loop.
+  :class:`~repro.runtime.multi.MultiProcessorEngine` runs it. A router
+  reads live processor state at every arrival, so this loop admits and
+  settles one request at a time.
+
+An optional :class:`~repro.robustness.RobustnessConfig` arms the retry
+heap, deadline eviction, fault decisions and load shedding in both loops,
+in the same event order. ``robustness=None`` follows the exact float
+operations of the original fault-free loop, in the same order (results
+are byte-identical; the differential suite pins this against a frozen
+pre-kernel copy). The live server's token-gated queue reuses the
+dispatch primitives (:func:`select_head`, :func:`fault_decision`,
+:func:`is_preemption`, :func:`fix_plan`, :func:`settle_failure`) from
+real threads instead of a virtual-time loop.
 
 Terminal requests leave through a sink callback (``sink(request,
 outcome)`` with outcome in ``served / rejected / shed / failed /
-timed_out``), so batch adapters collect lists while streaming adapters
-retain nothing — which is what closes the old feature matrix:
-``run_stream`` with robustness and the multi engine with fault injection
-both fall out of the same loop.
+timed_out``), so batch runs collect lists while streaming runs retain
+nothing — which is what closes the old feature matrix: ``run_stream``
+with robustness and the multi engine with fault injection both fall out
+of the same kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +48,15 @@ import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Protocol,
+    TypeGuard,
+)
 
 from repro.errors import SimulationError
 from repro.robustness.config import RobustnessConfig
@@ -59,7 +64,7 @@ from repro.robustness.faults import FaultDecision, FaultInjector, FaultKind
 from repro.robustness.retry import RetryPolicy
 from repro.runtime.trace import ExecutionTrace, TraceEntry
 from repro.scheduling.policies.base import Scheduler
-from repro.scheduling.queue import ListBackedRequestQueue, RequestQueue
+from repro.scheduling.queue import RequestQueue
 from repro.scheduling.request import Request
 
 if TYPE_CHECKING:
@@ -71,7 +76,7 @@ _INF = float("inf")
 #: ("served", "rejected", "shed", "failed" or "timed_out").
 RecordSink = Callable[[Request, str], None]
 
-#: How many arrivals the fast lane pulls from a plain iterator per refill,
+#: How many arrivals the batched loop pulls from a plain iterator per refill,
 #: and how many terminals it buffers before flushing to the sink.
 _FAST_CHUNK = 4096
 
@@ -79,11 +84,10 @@ _FAST_CHUNK = 4096
 class ChunkSource(Protocol):
     """An arrival source that can hand out whole time-ordered chunks.
 
-    The kernel's fast lane recognises such sources by the presence of
-    :meth:`next_chunk` and consumes arrivals chunk-wise; the reference
-    lane (and any other consumer) iterates the same source element-wise.
-    ``pool`` is an optional :class:`~repro.scheduling.request.RequestPool`
-    the source draws requests from — when present, the fast lane recycles
+    The batched loop recognises such sources by the presence of
+    :meth:`next_chunk` and consumes arrivals chunk-wise. ``pool`` is an
+    optional :class:`~repro.scheduling.request.RequestPool` the source
+    draws requests from — when present, the batched loop recycles
     terminal requests back into it after the sink has seen them, so the
     sink must not retain references.
     """
@@ -93,12 +97,10 @@ class ChunkSource(Protocol):
     def next_chunk(self) -> tuple[list[float], list[Request]] | None:
         """The next time-ordered ``(times, requests)`` chunk, or None.
 
-        None is final: the source is exhausted, and the fast lane never
-        calls :meth:`next_chunk` again in that run.
+        None is final: the source is exhausted, and the batched loop
+        never calls :meth:`next_chunk` again in that run.
         """
         ...
-
-    def __iter__(self) -> Iterator[tuple[float, Request]]: ...
 
 
 @dataclass
@@ -167,96 +169,13 @@ def validated_stream(
         yield t, req
 
 
-# --------------------------------------------------------------------- hooks
-class KernelHooks(Protocol):
-    """Lifecycle observer protocol (structural; all methods required).
-
-    Subclass :class:`Hooks` for no-op defaults and override only the
-    edges you observe. Hooks fire *after* the kernel has applied the
-    corresponding state change and must not mutate requests or queues —
-    they are a telemetry surface, not a policy surface.
-    """
-
-    def on_admit(
-        self, request: Request, now_ms: float, admitted: bool, proc_index: int
-    ) -> None:
-        """An arrival (or retry re-admission) went through ``on_arrival``."""
-
-    def on_dispatch(
-        self, request: Request, now_ms: float, block_ms: float, proc_index: int
-    ) -> None:
-        """The processor granted ``request`` its next block."""
-
-    def on_block_finish(
-        self,
-        request: Request,
-        block_index: int,
-        start_ms: float,
-        end_ms: float,
-        failed: bool,
-        proc_index: int,
-    ) -> None:
-        """One block's processor time was spent (``failed`` = result lost)."""
-
-    def on_preempt(
-        self, preempted: Request, by: Request, now_ms: float, proc_index: int
-    ) -> None:
-        """An unfinished started request lost the processor to another."""
-
-    def on_retry(
-        self, request: Request, ready_ms: float, proc_index: int
-    ) -> None:
-        """A failed request was parked until ``ready_ms`` for retry."""
-
-    def on_terminal(self, request: Request, outcome: str, now_ms: float) -> None:
-        """``request`` left the system with ``outcome``."""
-
-
-class Hooks:
-    """No-op :class:`KernelHooks` implementation to subclass."""
-
-    def on_admit(
-        self, request: Request, now_ms: float, admitted: bool, proc_index: int
-    ) -> None:
-        pass
-
-    def on_dispatch(
-        self, request: Request, now_ms: float, block_ms: float, proc_index: int
-    ) -> None:
-        pass
-
-    def on_block_finish(
-        self,
-        request: Request,
-        block_index: int,
-        start_ms: float,
-        end_ms: float,
-        failed: bool,
-        proc_index: int,
-    ) -> None:
-        pass
-
-    def on_preempt(
-        self, preempted: Request, by: Request, now_ms: float, proc_index: int
-    ) -> None:
-        pass
-
-    def on_retry(
-        self, request: Request, ready_ms: float, proc_index: int
-    ) -> None:
-        pass
-
-    def on_terminal(self, request: Request, outcome: str, now_ms: float) -> None:
-        pass
-
-
 # ---------------------------------------------------- dispatch-contract core
-# The primitives below are the dispatch contract written once. The kernel
-# inlines the same operations on its hot path; the live server's token
-# scheduler calls them from real threads. Any change here (or in the
-# kernel's inlined copies) must keep docs/kernel.md's contract intact —
-# the run-length queue summary is only sound because scheduling state is
-# mutated exclusively on peeked heads.
+# The primitives below are the dispatch contract written once. The routed
+# loop calls them; so does the live server's token scheduler, from real
+# threads. The batched loop inlines the same operations. Any change here
+# (or in the batched loop's inlined copies) must keep docs/kernel.md's
+# contract intact — the run-length queue summary is only sound because
+# scheduling state is mutated exclusively on peeked heads.
 
 
 def select_head(scheduler: Scheduler, queue: RequestQueue, now_ms: float) -> Request:
@@ -284,12 +203,15 @@ def fault_decision(
     )
 
 
-def is_preemption(last: Request | None, request: Request) -> bool:
+def is_preemption(
+    last: Request | None, request: Request
+) -> TypeGuard[Request]:
     """Did granting ``request`` preempt ``last``?
 
     True when the previously-executed request is a different one that has
     started but not finished — switching away defers all of its remaining
-    blocks (full preemption, Fig. 3).
+    blocks (full preemption, Fig. 3). A true answer also tells the type
+    checker that ``last`` is a request.
     """
     return (
         last is not None
@@ -354,65 +276,45 @@ class ProcState:
     profile: "NodeProfile | None" = None
 
 
-# ------------------------------------------------------------ queue adapters
-class QueueAdapter(Protocol):
-    """Maps each arrival onto a processor queue."""
-
-    def route(self, processors: list[ProcState], request: Request) -> int:
-        """Index of the processor that owns ``request`` (no migration)."""
-
-
-class SingleQueue:
-    """Everything on processor 0 — the sequential engine's shape."""
-
-    def route(self, processors: list[ProcState], request: Request) -> int:
-        return 0
-
-
-#: Arrival-time placement policy for :class:`RoutedQueues`.
+#: Arrival-time placement policy of a routed kernel: the index of the
+#: processor that owns the request (no migration).
 Router = Callable[[list[ProcState], Request], int]
-
-
-class RoutedQueues:
-    """Per-processor queues behind an arrival-time router (multi engine)."""
-
-    def __init__(self, router: Router):
-        self.router = router
-
-    def route(self, processors: list[ProcState], request: Request) -> int:
-        target = self.router(processors, request)
-        if not 0 <= target < len(processors):
-            raise SimulationError(
-                f"router returned invalid processor {target}"
-            )
-        return target
 
 
 # --------------------------------------------------------------------- kernel
 class EventKernel:
-    """One discrete-event loop for every engine-shaped execution path.
+    """One discrete-event loop per engine shape.
 
-    The loop's event order is load-bearing and pinned by the differential
-    suite: (1) an idle processor with pending work dispatches immediately
-    at its own local time; (2) otherwise the earliest of next-arrival /
-    next-retry / next-block-finish fires, with ties broken in exactly
-    that order; (3) a running block is never interrupted — preemption
-    happens only because the queue head changed by the time the next
-    block is granted.
+    Without a ``router`` the kernel has one processor, and :meth:`run`
+    takes the batched loop; with one it takes the routed loop over every
+    processor. Both keep the same event order, which is load-bearing and
+    pinned by the differential suites: (1) an idle processor with pending
+    work dispatches immediately at its own local time; (2) otherwise the
+    earliest of next-arrival / next-retry / next-block-finish fires, with
+    ties broken in exactly that order; (3) a running block is never
+    interrupted — preemption happens only because the queue head changed
+    by the time the next block is granted.
+
+    ``queue_cls`` is :class:`RequestQueue` or
+    :class:`~repro.scheduling.queue.ListBackedRequestQueue`; the batched
+    loop reads their backing sequence directly.
     """
 
     def __init__(
         self,
         schedulers: list[Scheduler],
-        adapter: QueueAdapter | None = None,
+        router: Router | None = None,
         robustness: RobustnessConfig | None = None,
         keep_trace: bool = False,
-        hooks: KernelHooks | None = None,
         queue_cls: type = RequestQueue,
         profiles: "list[NodeProfile | None] | None" = None,
     ):
         if not schedulers:
             raise SimulationError("need at least one processor")
+        if router is None and len(schedulers) > 1:
+            raise SimulationError(f"{len(schedulers)} processors need a router")
+        if router is None and profiles is not None:
+            raise SimulationError("node profiles need a router")
         if profiles is not None and len(profiles) != len(schedulers):
             raise SimulationError(
                 f"got {len(profiles)} node profiles for "
@@ -438,47 +340,13 @@ class EventKernel:
                 proc.scheduler.preemption_overhead_ms = (
                     prof.preemption_overhead_ms
                 )
-        self.adapter: QueueAdapter = adapter if adapter is not None else SingleQueue()
+        self.router = router
         self.robustness = robustness
-        self.hooks = hooks
-        #: Which lane the last :meth:`run` call took ("fast"/"reference").
-        self.lane_used: str | None = None
         self._injector: FaultInjector | None = None
         self._shedder = None
         if robustness is not None:
             self._injector = robustness.make_injector()
             self._shedder = robustness.make_shedder()
-
-    # ----------------------------------------------------------- fast lane
-    def _fast_eligible(self) -> bool:
-        """Whether :meth:`run` may take the batched fast lane.
-
-        The fast lane replays the reference loop's float operations in the
-        same order but batches arrival admission and terminal settlement;
-        that is only sound when nothing can observe the intermediate
-        states it skips: no observer hooks beyond the no-op defaults, a
-        single processor behind the trivial adapter, no node profile, and
-        one of the two known queue backends (whose batched insert is
-        pinned against per-request inserts by the equivalence suite).
-        Robustness settings do not disqualify a run: the fast lane runs
-        the same retry heap, deadline eviction, fault decisions and load
-        shedding, and batches admission only where no shed check can fire.
-        """
-        hooks = self.hooks
-        if hooks is not None and type(hooks) is not Hooks:
-            return False
-        if len(self.procs) != 1:
-            return False
-        if self.procs[0].profile is not None:
-            # Per-node profiles rebind arriving tasks on the reference
-            # lane; the fast lane's bulk admission has no rebind point.
-            # (Fleet runs pre-bind node-local specs instead, precisely to
-            # keep this lane.)
-            return False
-        if type(self.adapter) is not SingleQueue:
-            return False
-        queue_type = type(self.procs[0].queue)
-        return queue_type is RequestQueue or queue_type is ListBackedRequestQueue
 
     @staticmethod
     def _batch_observer(
@@ -501,13 +369,12 @@ class EventKernel:
             return None
         return batch  # type: ignore[no-any-return]
 
-    # ----------------------------------------------------------- lifecycle
+    # ------------------------------------------------------- routed loop
     def _terminal(
         self,
         proc: ProcState,
         req: Request,
         outcome: str,
-        now: float,
         result: EngineResult,
         emit: RecordSink,
     ) -> None:
@@ -525,9 +392,6 @@ class EventKernel:
             result.n_dropped += 1
         elif proc.last_executed is req:
             proc.last_executed = None
-        hooks = self.hooks
-        if hooks is not None:
-            hooks.on_terminal(req, outcome, now)
         emit(req, outcome)
 
     def _shed_overload(
@@ -539,62 +403,36 @@ class EventKernel:
             proc.queue, t, exclude=proc.running
         ):
             proc.queue.remove(victim)
-            self._terminal(proc, victim, "shed", t, result, emit)
+            self._terminal(proc, victim, "shed", result, emit)
 
     def _grant(
         self, proc: ProcState, t: float, result: EngineResult, emit: RecordSink
     ) -> None:
-        """Give the next block of the policy's pick to the processor.
-
-        Mirrors the dispatch-contract primitives (:func:`select_head`,
-        :func:`fault_decision`, :func:`is_preemption`, :func:`fix_plan`)
-        inlined — this runs once per executed block and is the hottest
-        code in the repository.
-        """
+        """Give the next block of the policy's pick to the processor."""
         scheduler = proc.scheduler
         queue = proc.queue
         cfg = self.robustness
-        injector = self._injector
-        hooks = self.hooks
         while not queue.empty:
-            idx = scheduler.select(queue, t)
-            if idx != 0:
-                queue.move_to_front(idx)
-            req = queue.peek()
+            req = select_head(scheduler, queue, t)
             if cfg is not None and t >= cfg.deadline_ms(req):
                 queue.remove(req)
-                self._terminal(proc, req, "timed_out", t, result, emit)
+                self._terminal(proc, req, "timed_out", result, emit)
                 continue
-            decision = (
-                injector.decide(
-                    req.task_type, req.arrival_ms, req.next_block, req.retries
-                )
-                if injector is not None
-                else None
-            )
+            decision = fault_decision(self._injector, req)
             if decision is not None and decision.kind is FaultKind.DROP:
                 queue.remove(req)
                 result.fault_drops += 1
-                self._terminal(proc, req, "failed", t, result, emit)
+                self._terminal(proc, req, "failed", result, emit)
                 continue
             switch_cost = 0.0
             last = proc.last_executed
-            if (
-                last is not None
-                and last is not req
-                and not last.done
-                and last.started
-            ):
+            if is_preemption(last, req):
                 switch_cost = scheduler.preemption_overhead_ms
                 last.preemptions += 1
                 result.preemptions += 1
-                if hooks is not None:
-                    hooks.on_preempt(last, req, t, proc.index)
             if last is not None and last is not req:
                 result.context_switches += 1
-            if not req.started:
-                plan = scheduler.plan_for(req, queue, t)
-                req.begin(plan, t)
+            fix_plan(scheduler, req, queue, t)
             block_ms = req.pop_block()
             if decision is not None and decision.kind is FaultKind.STALL:
                 block_ms *= decision.stall_factor
@@ -606,8 +444,6 @@ class EventKernel:
             proc.block_end = proc.block_start + block_ms
             proc.running = req
             proc.last_executed = req
-            if hooks is not None:
-                hooks.on_dispatch(req, t, block_ms, proc.index)
             return
         proc.running = None
         proc.block_end = _INF
@@ -624,29 +460,24 @@ class EventKernel:
         ``schedule`` yields ``(time_ms, request)`` in nondecreasing time
         order (callers validate via :func:`validate_batch_arrivals` +
         sort, or :func:`validated_stream`; :class:`ChunkSource` objects
-        validate their own chunks); ``emit`` receives every terminal
-        request exactly once. Counters and traces accumulate on
-        ``result``, which is returned for convenience.
+        validate their own chunks, and only the batched loop takes them);
+        ``emit`` receives every terminal request exactly once. Counters
+        and traces accumulate on ``result``, which is returned for
+        convenience.
 
-        Single-processor runs without hook subclasses or node profiles —
-        robust or not — take the batched fast lane (see
-        :meth:`_fast_eligible`); runs with several processors, node
-        profiles or hook subclasses run the reference loop below. Both
-        produce byte-identical traces and float-identical results — the
-        differential suites pin each against the frozen pre-kernel
-        engines.
+        A kernel without a router runs the batched loop
+        (:meth:`_run_fast`). A routed kernel runs the loop below: each
+        arrival goes to the processor its router picks, is rebound onto
+        its node profile, if any, and is admitted and settled on its own.
+        On one processor both loops give byte-identical traces and
+        float-identical results.
         """
-        if self._fast_eligible():
-            self.lane_used = "fast"
+        router = self.router
+        if router is None:
             return self._run_fast(schedule, emit, result)
-        self.lane_used = "reference"
         stream = iter(schedule)
         procs = self.procs
-        single = len(procs) == 1
-        p0 = procs[0]
-        adapter = self.adapter
         cfg = self.robustness
-        hooks = self.hooks
         retry: RetryPolicy | None = cfg.retry if cfg is not None else None
         shedding = self._shedder is not None
         retry_heap: list[tuple[float, int, int, Request]] = []
@@ -656,36 +487,31 @@ class EventKernel:
         while True:
             # An idle processor with pending work dispatches immediately,
             # at its own local time.
-            if single:
-                idle = p0 if (p0.running is None and not p0.queue.empty) else None
-            else:
-                idle = next(
-                    (
-                        p
-                        for p in procs
-                        if p.running is None and not p.queue.empty
-                    ),
-                    None,
-                )
+            idle = next(
+                (p for p in procs if p.running is None and not p.queue.empty),
+                None,
+            )
             if idle is not None:
                 self._grant(idle, idle.now, result, emit)
                 continue
             next_arrival = pending[0] if pending is not None else _INF
             next_retry = retry_heap[0][0] if retry_heap else _INF
-            if single:
-                next_done = p0.block_end if p0.running is not None else _INF
-            else:
-                next_done = min(
-                    (p.block_end for p in procs if p.running is not None),
-                    default=_INF,
-                )
+            next_done = min(
+                (p.block_end for p in procs if p.running is not None),
+                default=_INF,
+            )
             if next_arrival == _INF and next_retry == _INF and next_done == _INF:
                 break  # nothing left anywhere
             if next_arrival <= next_retry and next_arrival <= next_done:
                 now = next_arrival
                 req = pending[1]  # type: ignore[index]
                 pending = next(stream, None)
-                proc = p0 if single else procs[adapter.route(procs, req)]
+                target = router(procs, req)
+                if not 0 <= target < len(procs):
+                    raise SimulationError(
+                        f"router returned invalid processor {target}"
+                    )
+                proc = procs[target]
                 prof = proc.profile
                 if prof is not None:
                     # Serve under the owning node's calibrated model: swap
@@ -696,11 +522,8 @@ class EventKernel:
                     req.task = prof.resolve(req.task)
                 proc.now = max(proc.now, now)
                 proc.dispatched_arrivals += 1
-                admitted = proc.scheduler.on_arrival(proc.queue, req, now)
-                if hooks is not None:
-                    hooks.on_admit(req, now, admitted, proc.index)
-                if not admitted:
-                    self._terminal(proc, req, "rejected", now, result, emit)
+                if not proc.scheduler.on_arrival(proc.queue, req, now):
+                    self._terminal(proc, req, "rejected", result, emit)
                 elif shedding:
                     self._shed_overload(proc, now, result, emit)
                 # A running block is never interrupted; if idle, the loop's
@@ -712,24 +535,17 @@ class EventKernel:
                 proc.now = max(proc.now, now)
                 assert cfg is not None
                 if now >= cfg.deadline_ms(req):
-                    self._terminal(proc, req, "timed_out", now, result, emit)
+                    self._terminal(proc, req, "timed_out", result, emit)
                     continue
-                admitted = proc.scheduler.on_arrival(proc.queue, req, now)
-                if hooks is not None:
-                    hooks.on_admit(req, now, admitted, proc.index)
-                if admitted:
-                    if shedding:
-                        self._shed_overload(proc, now, result, emit)
-                else:
-                    self._terminal(proc, req, "rejected", now, result, emit)
+                if not proc.scheduler.on_arrival(proc.queue, req, now):
+                    self._terminal(proc, req, "rejected", result, emit)
+                elif shedding:
+                    self._shed_overload(proc, now, result, emit)
             else:
-                if single:
-                    proc = p0
-                else:
-                    proc = min(
-                        (p for p in procs if p.running is not None),
-                        key=lambda p: p.block_end,
-                    )
+                proc = min(
+                    (p for p in procs if p.running is not None),
+                    key=lambda p: p.block_end,
+                )
                 now = proc.block_end
                 proc.now = now
                 req = proc.running  # type: ignore[assignment]
@@ -746,51 +562,36 @@ class EventKernel:
                             failed=fail,
                         )
                     )
-                if hooks is not None:
-                    hooks.on_block_finish(
-                        req,
-                        req.next_block - 1,
-                        proc.block_start,
-                        now,
-                        fail,
-                        proc.index,
-                    )
                 proc.running = None
                 proc.block_end = _INF
                 if fail:
                     proc.pending_fail = False
                     result.fault_fails += 1
-                    req.unpop_block()
-                    req.retries += 1
-                    proc.queue.remove(req)
                     assert retry is not None
-                    if retry.exhausted(req.retries):
-                        self._terminal(proc, req, "failed", now, result, emit)
+                    ready = settle_failure(req, now, retry)
+                    proc.queue.remove(req)
+                    if ready is None:
+                        self._terminal(proc, req, "failed", result, emit)
                     else:
                         result.retries += 1
                         if proc.last_executed is req:
                             proc.last_executed = None
-                        ready = now + retry.backoff_ms(req.retries - 1)
                         heapq.heappush(
                             retry_heap,
                             (ready, next(retry_seq), proc.index, req),
                         )
-                        if hooks is not None:
-                            hooks.on_retry(req, ready, proc.index)
                 elif req.blocks_left == 0:
                     req.finish_ms = now
                     proc.queue.remove(req)
                     if cfg is not None and now > cfg.deadline_ms(req):
                         # Finished, but past the client's deadline: the
                         # response is useless — count it as timed out.
-                        self._terminal(proc, req, "timed_out", now, result, emit)
+                        self._terminal(proc, req, "timed_out", result, emit)
                     else:
-                        self._terminal(proc, req, "served", now, result, emit)
+                        self._terminal(proc, req, "served", result, emit)
                 self._grant(proc, now, result, emit)
 
-        leftovers = (
-            len(p0.queue) if single else sum(len(p.queue) for p in procs)
-        )
+        leftovers = sum(len(p.queue) for p in procs)
         if leftovers:
             raise SimulationError(
                 f"engine finished with {leftovers} requests still queued"
@@ -803,8 +604,9 @@ class EventKernel:
         emit: RecordSink,
         result: EngineResult,
     ) -> EngineResult:
-        """The batched lane: the reference loop with its three
-        per-request costs batched away.
+        """The batched loop of a kernel without a router: the routed
+        loop's event order on one processor, with its three per-request
+        costs batched away.
 
         Same event order, same float operations (the differential suites
         pin byte-identical traces and float-identical QoS), reached by
@@ -822,10 +624,11 @@ class EventKernel:
         buffered and flushed through the sink's batched variant
         (``observe_batch``) in completion order.
 
-        A :class:`RobustnessConfig` arms the reference loop's retry heap,
+        A :class:`RobustnessConfig` arms the routed loop's retry heap,
         deadline eviction, fault decisions and load shedding here too;
         each sits behind a per-run local, so a fault-free run pays one
-        test per event for them.
+        test per event for them. The grant inlines the dispatch
+        primitives.
 
         Arrivals come from a :class:`ChunkSource` (structure-of-arrays
         chunks, ~zero allocation with a request pool), a pre-validated

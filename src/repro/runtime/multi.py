@@ -18,14 +18,13 @@ engine behaves exactly as before (homogeneous processors, byte-identical
 to the pre-profile code).
 
 Since the kernel unification this is a thin adapter over
-:class:`~repro.runtime.kernel.EventKernel` with a
-:class:`~repro.runtime.kernel.RoutedQueues` adapter, which buys the
-features the old hand-rolled loop lacked for free: fault injection /
-deadlines / retries / load shedding via ``robustness=``, streaming sinks
-via :meth:`MultiProcessorEngine.run_stream`, and kernel lifecycle hooks.
-A retried request stays on the processor that first accepted it (its
-blocks are local), and load shedding considers each processor's queue
-separately.
+:class:`~repro.runtime.kernel.EventKernel` with a router, which runs the
+kernel's routed loop and buys the features the old hand-rolled loop
+lacked for free: fault injection / deadlines / retries / load shedding
+via ``robustness=``, and streaming sinks via
+:meth:`MultiProcessorEngine.run_stream`. A retried request stays on the
+processor that first accepted it (its blocks are local), and load
+shedding considers each processor's queue separately.
 
 Routers:
 
@@ -59,10 +58,8 @@ from repro.robustness.config import RobustnessConfig
 from repro.runtime.kernel import (
     EngineResult,
     EventKernel,
-    KernelHooks,
     ProcState,
     RecordSink,
-    RoutedQueues,
     Router,
     batch_sink,
     validate_batch_arrivals,
@@ -187,7 +184,6 @@ class MultiProcessorEngine:
         router: str | Router = "least_backlog",
         keep_trace: bool = False,
         robustness: RobustnessConfig | None = None,
-        hooks: KernelHooks | None = None,
         profiles: "list[NodeProfile | None] | None" = None,
     ):
         if not schedulers:
@@ -211,15 +207,13 @@ class MultiProcessorEngine:
             self.router_name = getattr(router, "__name__", "custom")
         self.keep_trace = keep_trace
         self.robustness = robustness
-        self.hooks = hooks
 
     def _kernel(self) -> EventKernel:
         return EventKernel(
             self.schedulers,
-            adapter=RoutedQueues(self.router),
+            router=self.router,
             robustness=self.robustness,
             keep_trace=self.keep_trace,
-            hooks=self.hooks,
             profiles=self.profiles,
         )
 
@@ -238,7 +232,7 @@ class MultiProcessorEngine:
         schedule = sorted(arrivals, key=lambda pair: pair[0])
         kernel = self._kernel()
         result = EngineResult()
-        kernel.run(iter(schedule), batch_sink(result), result)
+        kernel.run(schedule, batch_sink(result), result)
         return self._wrap(kernel, result)
 
     def run_stream(

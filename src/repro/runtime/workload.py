@@ -363,7 +363,7 @@ class RequestChunkStream:
     (``StreamingQoS`` qualifies; the batch engine's result lists do not) —
     the kernel recycles each request right after its sink call. Iterating
     the stream element-wise yields the same validated ``(t, request)``
-    pairs, which is how the reference lane consumes it.
+    pairs, for consumers that take arrivals one at a time.
     """
 
     def __init__(

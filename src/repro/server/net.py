@@ -135,8 +135,8 @@ class _IntakeSource:
 
     def next_chunk(self) -> tuple[list[float], list[Request]] | None:
         # Sticky EOF is a guard: the kernel stops at the first None, but
-        # any later call (a second iteration, say) must return None again
-        # rather than block forever on the drained intake.
+        # any later call must return None again rather than block forever
+        # on the drained intake.
         if self._done:
             return None
         item = self._intake.get()
@@ -144,13 +144,6 @@ class _IntakeSource:
             self._done = True
             return None
         return item  # type: ignore[no-any-return]
-
-    def __iter__(self) -> Iterator[tuple[float, Request]]:
-        while True:
-            chunk = self.next_chunk()
-            if chunk is None:
-                return
-            yield from zip(*chunk)
 
 
 class _LockstepCore:
@@ -237,9 +230,8 @@ class _LockstepCore:
             self._on_abort()
 
     # The scalar sink plus its `_batch` variant: the kernel's batched
-    # lane resolves `_sink` -> `_sink_batch` by naming convention and
-    # flushes buffered terminals through it; the reference lane would
-    # call the scalar once per terminal. Both must be observably
+    # loop resolves `_sink` -> `_sink_batch` by naming convention and
+    # flushes buffered terminals through it. Both must be observably
     # identical, so the scalar is the one-element batch.
     def _sink(self, request: Request, outcome: str) -> None:
         self._settle([request], [outcome])

@@ -1,11 +1,11 @@
-"""EventKernel unit surface: validators, adapters, hooks, shims.
+"""EventKernel unit surface: validators, engine shapes, retired shims.
 
 The differential suite (``test_kernel_differential.py``) pins *what* the
 kernel computes; this file pins the kernel's own API contract — the
 shared arrival validators and their canonical messages (one format for
-every entry point), queue-adapter routing errors, the ordering and
-arguments of every :class:`KernelHooks` lifecycle callback, and the
-deprecation shims left on :class:`SequentialEngine`.
+every entry point), the shapes a kernel accepts with and without a
+router, router range errors, and the absence of the deprecation shims
+once left on :class:`SequentialEngine`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,17 @@ import warnings
 import pytest
 
 from repro.errors import SimulationError
+from repro.hardware import NodeProfile
+from repro.hardware.presets import jetson_nano
 from repro.robustness.config import RobustnessConfig
-from repro.robustness.faults import FaultPlan
-from repro.robustness.retry import RetryPolicy
 from repro.runtime.engine import SequentialEngine
 from repro.runtime.kernel import (
-    EngineResult,
     EventKernel,
-    Hooks,
-    RoutedQueues,
-    batch_sink,
     validate_batch_arrivals,
     validated_stream,
 )
-from repro.runtime.multi import MultiProcessorEngine
-from repro.scheduling.policies import FIFOScheduler, SplitScheduler
+from repro.runtime.multi import MultiProcessorEngine, round_robin
+from repro.scheduling.policies import FIFOScheduler
 from repro.scheduling.request import Request, TaskSpec
 
 
@@ -130,6 +126,19 @@ class TestAdapters:
         with pytest.raises(SimulationError, match="need at least one processor"):
             EventKernel([])
 
+    def test_routerless_kernel_has_one_plain_processor(self):
+        """Without a router the kernel runs its one-processor loop, so it
+        refuses a second scheduler and any node profile up front instead
+        of serving everything on processor 0 or ignoring the profile."""
+        with pytest.raises(SimulationError, match="2 processors need a router"):
+            EventKernel([FIFOScheduler(), FIFOScheduler()])
+        profile = NodeProfile(name="n", device=jetson_nano())
+        with pytest.raises(SimulationError, match="node profiles need a router"):
+            EventKernel([FIFOScheduler()], profiles=[profile])
+        # The same shapes are fine behind a router.
+        EventKernel([FIFOScheduler(), FIFOScheduler()], router=round_robin)
+        EventKernel([FIFOScheduler()], router=round_robin, profiles=[profile])
+
     @pytest.mark.parametrize("target", [-1, 2])
     def test_router_range_checked(self, target):
         engine = MultiProcessorEngine(
@@ -139,114 +148,6 @@ class TestAdapters:
             SimulationError, match=f"router returned invalid processor {target}"
         ):
             engine.run(arrivals((0.0, "a", 10.0, None)))
-
-
-class Recorder(Hooks):
-    def __init__(self):
-        self.events: list[tuple] = []
-
-    def on_admit(self, request, now_ms, admitted, proc_index):
-        self.events.append(("admit", request.task_type, now_ms, admitted))
-
-    def on_dispatch(self, request, now_ms, block_ms, proc_index):
-        self.events.append(("dispatch", request.task_type, now_ms, block_ms))
-
-    def on_block_finish(
-        self, request, block_index, start_ms, end_ms, failed, proc_index
-    ):
-        self.events.append(
-            ("finish", request.task_type, block_index, start_ms, end_ms, failed)
-        )
-
-    def on_preempt(self, preempted, by, now_ms, proc_index):
-        self.events.append(
-            ("preempt", preempted.task_type, by.task_type, now_ms)
-        )
-
-    def on_retry(self, request, ready_ms, proc_index):
-        self.events.append(("retry", request.task_type, ready_ms))
-
-    def on_terminal(self, request, outcome, now_ms):
-        self.events.append(("terminal", request.task_type, outcome, now_ms))
-
-    def of(self, kind):
-        return [e for e in self.events if e[0] == kind]
-
-
-class TestHooks:
-    def test_fault_free_lifecycle(self):
-        hooks = Recorder()
-        result = SequentialEngine(SplitScheduler(), hooks=hooks).run(
-            arrivals(*PREEMPTIVE)
-        )
-        assert result.preemptions == 1
-        # The short request preempts the long one at its first block
-        # boundary (t=20) and the hook sees exactly that edge.
-        assert hooks.of("preempt") == [("preempt", "long", "short", 20.0)]
-        # Three blocks execute: long[0], short[0], long[1].
-        dispatched = [e[1] for e in hooks.of("dispatch")]
-        assert dispatched == ["long", "short", "long"]
-        assert len(hooks.of("finish")) == 3
-        assert all(not e[5] for e in hooks.of("finish"))
-        # Every request reaches exactly one terminal, at its finish time.
-        terminals = {(e[1], e[2]) for e in hooks.of("terminal")}
-        assert terminals == {("long", "served"), ("short", "served")}
-        # Admissions fire once per arrival with the arrival time.
-        assert [(e[1], e[2], e[3]) for e in hooks.of("admit")] == [
-            ("long", 0.0, True),
-            ("short", 5.0, True),
-        ]
-        # Dispatch/finish pair up: same count, finish ends at block_end.
-        assert len(hooks.of("dispatch")) == len(hooks.of("finish"))
-
-    def test_retry_and_failure_edges(self):
-        hooks = Recorder()
-        cfg = RobustnessConfig(
-            faults=FaultPlan(seed=0, fail_rate=1.0),
-            retry=RetryPolicy(max_retries=2, backoff_base_ms=2.0),
-        )
-        result = SequentialEngine(
-            FIFOScheduler(), robustness=cfg, hooks=hooks
-        ).run(arrivals((0.0, "a", 10.0, None)))
-        # fail_rate=1.0: initial attempt + 2 retries all fail.
-        assert result.fault_fails == 3
-        assert [e[0] for e in hooks.of("retry")] == ["retry", "retry"]
-        # Backoff doubles: ready at finish+2 then finish+4.
-        r0, r1 = hooks.of("retry")
-        assert r1[2] - r0[2] > 0
-        assert hooks.of("terminal") == [
-            ("terminal", "a", "failed", pytest.approx(r1[2] + 10.0))
-        ]
-        finishes = hooks.of("finish")
-        assert len(finishes) == 3 and all(e[5] for e in finishes)
-
-    def test_hooks_are_observation_only(self):
-        """The same schedule with and without hooks attached is identical."""
-        bare = SequentialEngine(SplitScheduler(), keep_trace=True).run(
-            arrivals(*PREEMPTIVE)
-        )
-        hooked = SequentialEngine(
-            SplitScheduler(), keep_trace=True, hooks=Recorder()
-        ).run(arrivals(*PREEMPTIVE))
-        strip = lambda t: [
-            (e.task_type, e.block_index, e.start_ms, e.end_ms)
-            for e in t.entries
-        ]
-        assert strip(hooked.trace) == strip(bare.trace)
-
-    def test_multi_hooks_carry_proc_index(self):
-        seen: set[int] = set()
-
-        class ProcRecorder(Hooks):
-            def on_dispatch(self, request, now_ms, block_ms, proc_index):
-                seen.add(proc_index)
-
-        MultiProcessorEngine(
-            [FIFOScheduler(), FIFOScheduler()],
-            router="round_robin",
-            hooks=ProcRecorder(),
-        ).run(arrivals((0.0, "a", 10.0, None), (0.0, "b", 10.0, None)))
-        assert seen == {0, 1}
 
 
 class TestNoDeprecationSurface:
