@@ -70,7 +70,3 @@ class LatencyModel:
                 f"{graph.name}: target latency {target_total_ms} must be positive"
             )
         return raw * (target_total_ms / total)
-
-    def model_latency_ms(self, graph: ModelGraph) -> float:
-        """Isolated end-to-end latency of the vanilla (unsplit) model."""
-        return float(self.calibrated_profile(graph).sum())

@@ -101,15 +101,3 @@ class RequestClass(enum.Enum):
 
     SHORT = "short"
     LONG = "long"
-
-
-class PolicyName(enum.Enum):
-    """Identifiers for the scheduling policies compared in the evaluation."""
-
-    SPLIT = "split"
-    CLOCKWORK = "clockwork"
-    PREMA = "prema"
-    RTA = "rta"
-    FIFO = "fifo"
-    SJF = "sjf"
-    EDF = "edf"

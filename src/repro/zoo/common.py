@@ -168,18 +168,6 @@ class GraphBuilder:
             name=name,
         )
 
-    def layernorm(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
-        x = self._x(x)
-        hidden = x.shape[-1]
-        return self.emit(
-            OpType.LAYERNORM,
-            (x,),
-            x.shape,
-            flops=8.0 * x.numel,
-            param_bytes=2 * hidden * 4,
-            name=name,
-        )
-
     def lrn(self, size: int = 5, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
         x = self._x(x)
         return self.emit(OpType.LRN, (x,), x.shape, flops=size * 2.0 * x.numel, name=name)
@@ -197,9 +185,6 @@ class GraphBuilder:
         """Multiply by a scalar constant (e.g. 1/sqrt(d_k))."""
         return self._elementwise(OpType.MUL, 1.0, x, name)
 
-    def sub_const(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
-        return self._elementwise(OpType.SUB, 1.0, x, name)
-
     def div_const(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
         return self._elementwise(OpType.DIV, 1.0, x, name)
 
@@ -211,9 +196,6 @@ class GraphBuilder:
 
     def exp(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
         return self._elementwise(OpType.EXP, 2.0, x, name)
-
-    def erf(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
-        return self._elementwise(OpType.ERF, 4.0, x, name)
 
     def add_const(self, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
         """Add a broadcast constant (bias, eps, mask)."""
@@ -382,14 +364,6 @@ class GraphBuilder:
             OpType.SHUFFLE, (x,), x.shape, flops=float(x.numel), name=name, groups=groups
         )
 
-    def upsample(self, factor: int, x: TensorSpec | None = None, name: str | None = None) -> TensorSpec:
-        x = self._x(x)
-        n, c, h, w = x.shape
-        out = (n, c, h * factor, w * factor)
-        return self.emit(
-            OpType.UPSAMPLE, (x,), out, flops=float(math.prod(out)), name=name
-        )
-
     # --------------------------------------------------------------- dense / nlp
     def gemm(
         self,
@@ -441,30 +415,6 @@ class GraphBuilder:
             param_bytes=vocab * hidden * 4,
             name=name,
         )
-
-    # -------------------------------------------------------------- composites
-    def conv_relu(self, *args, x: TensorSpec | None = None, **kwargs) -> TensorSpec:
-        self.conv2d(*args, x=x, **kwargs)
-        return self.relu()
-
-    def conv_bn_act(
-        self,
-        *args,
-        act: str = "relu",
-        x: TensorSpec | None = None,
-        **kwargs,
-    ) -> TensorSpec:
-        self.conv2d(*args, x=x, bias=False, **kwargs)
-        self.batchnorm()
-        if act == "relu":
-            return self.relu()
-        if act == "leaky":
-            return self.leaky_relu()
-        if act == "swish":
-            return self.swish()
-        if act == "none":
-            return self.current
-        raise ValueError(f"unknown activation {act!r}")
 
     def finish(self, **metadata) -> ModelGraph:
         """Attach metadata and return the built graph."""
