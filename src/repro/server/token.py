@@ -48,6 +48,10 @@ from repro.scheduling.queue import RequestQueue
 from repro.scheduling.request import Request
 from repro.server.clock import ScaledClock
 
+#: Longest wall-clock wait of an idle assigner before it re-checks its
+#: stop flag.
+_POLL_S = 0.05
+
 
 @dataclass(frozen=True)
 class TokenGrant:
@@ -277,6 +281,11 @@ class TokenScheduler:
         with self._lock:
             return len(self._parked)
 
+    def next_ready_ms(self) -> float:
+        """When the earliest parked retry is ready (inf when none is)."""
+        with self._lock:
+            return self._parked[0][0] if self._parked else float("inf")
+
     def backlog_ms(self) -> float:
         """Total remaining execution time currently queued."""
         with self._lock:
@@ -325,10 +334,19 @@ class TokenAssigner:
         cfg = self.scheduler.robustness
         return float("inf") if cfg is None else cfg.deadline_ms(req)
 
+    def _idle_wait_s(self, now_ms: float) -> float:
+        """How long the next grant may wait on an empty queue: the poll, or
+        until the earliest parked retry is ready, whichever comes first
+        (simulated ms converted to seconds through the clock's scale)."""
+        ready_ms = self.scheduler.next_ready_ms()
+        return min(_POLL_S, max(0.0, (ready_ms - now_ms) * self.clock.scale))
+
     def _run(self) -> None:
         while not self._stop.is_set():
             now = self.clock.now_ms()
-            grant = self.scheduler.acquire_token(now, timeout_s=0.05)
+            grant = self.scheduler.acquire_token(
+                now, timeout_s=self._idle_wait_s(now)
+            )
             if grant is None:
                 continue
             req = grant.request

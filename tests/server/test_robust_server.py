@@ -16,7 +16,9 @@ from repro.robustness import (
     RobustnessConfig,
     ScriptedFault,
 )
+from repro.scheduling.request import Request
 from repro.server.server import SplitServer
+from repro.server.token import TokenAssigner
 from repro.zoo.registry import get_model
 
 
@@ -150,3 +152,51 @@ def test_stats_exposes_robustness_counters():
     stats = srv.stats()
     for key in ("shed", "failed", "timed_out", "retries", "stalls", "parked"):
         assert key in stats
+
+
+class _FrozenClock:
+    """A clock that reads a set time and never sleeps."""
+
+    def __init__(self, now_ms: float, scale: float) -> None:
+        self.now = now_ms
+        self.scale = scale
+
+    def now_ms(self) -> float:
+        return self.now
+
+    def sleep_ms(self, duration_ms: float) -> None:
+        self.now += duration_ms
+
+
+def test_idle_assigner_waits_for_a_parked_retry_not_its_poll():
+    """After a failed first block with a 10 ms backoff, the queue is empty
+    and the retry is parked: the assigner's next wait must end by the
+    retry's ready time (10 ms at the clock's scale), not after its 50 ms
+    wall-clock poll, which at scale 1e-5 is 5,000 simulated ms. Driven
+    on this thread with a frozen clock, so no thread timing decides it."""
+    cfg = RobustnessConfig(
+        faults=FaultPlan(scripted=(ScriptedFault(FaultKind.FAIL, attempt=0),)),
+        retry=RetryPolicy(max_retries=1, backoff_base_ms=10.0),
+    )
+    srv = make_server(cfg)
+    tokens = srv.tokens
+    clock = _FrozenClock(now_ms=100.0, scale=1e-5)
+    request = Request(task=srv.specs["yolov2"], arrival_ms=clock.now_ms())
+    tokens.submit_batch([request], clock.now_ms())
+    grant = tokens.acquire_token(clock.now_ms(), timeout_s=0.0)
+    assert grant is not None and grant.fail
+    clock.sleep_ms(grant.block_ms)
+    tokens.report_failure(request, clock.now_ms())
+    assert tokens.parked() == 1
+
+    waits = []
+    assigner = TokenAssigner(tokens, clock, on_complete=lambda req, t: None)
+
+    def acquire_once(now_ms, timeout_s):
+        waits.append(timeout_s)
+        assigner._stop.set()
+        return None
+
+    tokens.acquire_token = acquire_once
+    assigner._run()
+    assert waits == [pytest.approx(10.0 * clock.scale)]
