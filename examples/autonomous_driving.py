@@ -44,7 +44,7 @@ def main() -> None:
             server.clock.sleep_ms(float(rng.exponential(130.0)))
         server.drain(timeout_s=60.0)
 
-    print(f"\nserved {len(server.responder.completed)} requests "
+    print(f"\nserved {server.stats()['completed']} requests "
           f"({server.assigner.blocks_executed} blocks executed)\n")
     print(f"{'task':<8} {'n':>4} {'mean RR':>8} {'p95 RR':>8} {'preempts':>9}")
     for label, hs in handles.items():

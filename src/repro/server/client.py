@@ -62,15 +62,20 @@ from repro.runtime.workload import WorkloadItem
 from repro.server.protocol import (
     CODEC_JSON,
     CODECS,
+    INFER_RECORD,
+    RESULT_HEAD,
     TAG_OUTCOMES,
+    BadFrame,
     BinaryCodecV2,
     FrameDecoder,
     FrameType,
     ProtocolError,
+    _plan_struct,
     encode_frame,
 )
 
 _NAN = float("nan")
+_new_record = tuple.__new__
 
 
 class WireResult(NamedTuple):
@@ -108,6 +113,64 @@ def _json_infer(
     if echo is not None:
         item["echo"] = echo
     return item
+
+
+class _ResultCodec(BinaryCodecV2):
+    """binary-v2 on one client connection: each RESULT record decodes
+    straight into its :class:`WireResult`, the model named through the
+    HELLO table.
+
+    Results with equal plans share one plan tuple. The cache is keyed by
+    model index, then by the plan's raw bytes, and holds at most two
+    plans per index (a model's split and its unsplit plan; a third
+    starts the index afresh), so a hostile server cannot grow it past
+    the negotiated table."""
+
+    def __init__(self, model_names: list[str]) -> None:
+        self._names = model_names
+        self._plans: dict[int, dict[bytes, tuple[float, ...]]] = {}
+
+    def _decode_result_record(
+        self, body: memoryview, off: int
+    ) -> tuple[WireResult, int]:
+        end = off + RESULT_HEAD.size
+        if end > len(body):
+            raise BadFrame("truncated RESULT record head")
+        cid, tag, midx, arrival, finish, e2e, rr, preempt, retries, plan_len = (
+            RESULT_HEAD.unpack_from(body, off)
+        )
+        if tag >= len(TAG_OUTCOMES):
+            raise BadFrame(f"unknown result outcome tag {tag}")
+        names = self._names
+        model = names[midx] if midx < len(names) else ""
+        plan = None
+        if plan_len:
+            off, end = end, end + 8 * plan_len
+            if end > len(body):
+                raise BadFrame("truncated RESULT record plan")
+            raw = body[off:end].tobytes()
+            known = self._plans.get(midx)
+            if known is not None:
+                plan = known.get(raw)
+            if plan is None:
+                plan = _plan_struct(plan_len).unpack_from(body, off)
+                if midx < len(names):
+                    if known is None or len(known) > 1:
+                        known = self._plans[midx] = {}
+                    known[raw] = plan
+        # Every field by position through tuple.__new__, which skips the
+        # NamedTuple's Python-level __new__ (half the cost of a record).
+        if tag == 0:
+            return _new_record(WireResult, (
+                cid, "served", True, model, arrival, finish, e2e, rr,
+                preempt, retries, plan, None,
+            )), end
+        # Unhappy records carry NaN in the derived-time fields; surface
+        # them as None like the JSON path does.
+        return _new_record(WireResult, (
+            cid, TAG_OUTCOMES[tag], False, model, arrival, None, None, None,
+            0, retries, plan, None,
+        )), end
 
 
 def _result_from_payload(ftype: FrameType, payload: dict[str, Any]) -> WireResult:
@@ -389,22 +452,6 @@ class AsyncNetClient:
         self._pending.pop(cid, None)
         return self._waiters.pop(cid, None)
 
-    def _result_from_record(self, record: tuple) -> WireResult:
-        cid, tag, midx, arrival, finish, e2e, rr, preempt, retries, plan = record
-        names = self.model_names
-        model = names[midx] if midx < len(names) else ""
-        if tag == 0:
-            return WireResult(
-                cid, "served", True, model, arrival, finish, e2e, rr,
-                preempt, retries, plan,
-            )
-        # Unhappy records carry NaN in the derived-time fields; surface
-        # them as None like the JSON path does.
-        return WireResult(
-            cid, TAG_OUTCOMES[tag], False, model, arrival, None, None, None,
-            0, retries, plan,
-        )
-
     def _settle(self, result: WireResult) -> None:
         """The one infer settlement, for both codecs: drop a late reply
         to a deadline-expired request; otherwise resolve its waiter (or
@@ -413,7 +460,9 @@ class AsyncNetClient:
         if result.id in self._expired:
             self._expired.discard(result.id)
             return
-        entry = self._pop_waiter(result.id)
+        # Every deadline and replay entry belongs to a waiter, so with
+        # none registered (an untracked replay) there is nothing to pop.
+        entry = self._pop_waiter(result.id) if self._waiters else None
         if entry is not None:
             if not entry[1].done():
                 entry[1].set_result(result)
@@ -427,12 +476,12 @@ class AsyncNetClient:
             self._received_event.set()
 
     def _on_frame(self, ftype: FrameType, payload: Any) -> None:
-        if isinstance(payload, tuple):  # binary RESULT record
-            self._settle(self._result_from_record(payload))
+        if isinstance(payload, tuple):  # binary RESULT, decoded as a result
+            self._settle(payload)
             return
-        if isinstance(payload, list):  # binary RESULT_BATCH records
-            for record in payload:
-                self._settle(self._result_from_record(record))
+        if isinstance(payload, list):  # binary RESULT_BATCH results
+            for result in payload:
+                self._settle(result)
             return
         cid = payload.get("id")
         entry = self._waiters.get(cid) if cid is not None else None
@@ -474,12 +523,14 @@ class AsyncNetClient:
                             )
                         )
                     return
-                self._decoder.set_codec(codec)
-                self.binary = isinstance(codec, BinaryCodecV2)
                 self.model_names = list(payload.get("models", ()))
                 self._model_idx = {
                     name: i for i, name in enumerate(self.model_names)
                 }
+                self.binary = isinstance(codec, BinaryCodecV2)
+                if self.binary:
+                    codec = _ResultCodec(self.model_names)
+                self._decoder.set_codec(codec)
             elif not fut.done():  # refused: connection stays on its codec
                 fut.set_exception(
                     ServerError(
@@ -588,8 +639,9 @@ class AsyncNetClient:
             # Resolve every model before registering any waiter, so a
             # refused batch leaves nothing behind for a reconnect replay.
             midxs = [self._model_index(model) for model, _ in items]
-            records: list[tuple[int, int, float]] = []
-            nan = float("nan")
+            # Each record is packed as it is made: no record tuples.
+            pack = INFER_RECORD.pack
+            packed: list[bytes] = []
             for (model, arrival_ms), midx in zip(items, midxs):
                 if track:
                     cid, fut = self._register_waiter("infer")
@@ -597,10 +649,10 @@ class AsyncNetClient:
                     futures.append(fut)
                 else:
                     cid = next(ids)
-                records.append(
-                    (cid, midx, nan if arrival_ms is None else arrival_ms)
+                packed.append(
+                    pack(cid, midx, _NAN if arrival_ms is None else arrival_ms)
                 )
-            self._writer.write(BinaryCodecV2.encode_infer_batch(records))
+            self._writer.write(BinaryCodecV2.frame_infer_records(packed))
         else:
             wire_items: list[dict[str, Any]] = []
             for model, arrival_ms in items:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ServerError
 
@@ -201,6 +201,11 @@ _BATCH_HEAD = struct.Struct("!I")
 
 _NAN = float("nan")
 
+#: Sentinel model index for results whose task name is missing from the
+#: connection's HELLO-time model table (deployed after the handshake);
+#: clients render it as an empty model name. Re-HELLO to refresh.
+MODEL_IDX_UNKNOWN = 0xFFFF
+
 #: One Struct per plan length (plans are short: one per block count).
 _PLAN_STRUCTS: dict[int, struct.Struct] = {}
 
@@ -219,14 +224,39 @@ def _plan_struct(n: int) -> struct.Struct:
 ResultRecord = tuple
 
 
+def _pack_results(
+    records: Sequence[ResultRecord],
+    model_idx: dict[str, int] | None,
+    parts: list[bytes],
+) -> None:
+    """Append each record's packed bytes to ``parts``. Fields after the
+    plan are not packed (the server's reply records end with an echo).
+    With ``model_idx``, a model that is not an int is a task name mapped
+    through it, and a name missing from it packs as
+    :data:`MODEL_IDX_UNKNOWN`."""
+    append = parts.append
+    head = RESULT_HEAD.pack
+    for record in records:
+        cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan = (
+            record[:10]
+        )
+        if model_idx is not None and type(model) is not int:
+            model = model_idx.get(model, MODEL_IDX_UNKNOWN)
+        n = 0 if plan is None else len(plan)
+        append(head(cid, tag, model, arrival, finish, e2e, rr, preempt, retries, n))
+        if n:
+            append(_plan_struct(n).pack(*plan))
+
+
 class BinaryCodecV2:
     """Struct-packed hot path negotiated by HELLO (``"binary-v2"``).
 
     INFER / INFER_BATCH / RESULT / RESULT_BATCH bodies are packed records
     (doubles travel as raw IEEE-754 bits — the differential suite asserts
     bit-identity end-to-end); every other frame type keeps its JSON body.
-    Decoded payloads are therefore *tuples/lists* for the hot types and
-    dicts for the rest.
+    Decoded payloads are therefore tuples, lists and, for INFER_BATCH,
+    an iterator of ``(cid, model_idx, arrival_ms)`` records over the fed
+    bytes for the hot types, and dicts for the rest.
     """
 
     name = CODEC_BINARY
@@ -253,7 +283,9 @@ class BinaryCodecV2:
             return self._decode_result_batch(body)
         return _decode_json_body(body)
 
-    def _decode_infer_batch(self, body: memoryview) -> list[tuple]:
+    def _decode_infer_batch(
+        self, body: memoryview
+    ) -> Iterable[tuple[int, int, float]]:
         if len(body) < _BATCH_HEAD.size:
             raise BadFrame("binary INFER_BATCH body missing its count header")
         (count,) = _BATCH_HEAD.unpack_from(body)
@@ -263,7 +295,12 @@ class BinaryCodecV2:
                 f"truncated INFER_BATCH: {count} records need {expect} bytes, "
                 f"got {len(body)}"
             )
-        return list(INFER_RECORD.iter_unpack(body[_BATCH_HEAD.size:]))
+        # Unpacked as the intake reads them: each record's tuple is freed
+        # before the next is made, so a frame never holds its records. An
+        # empty batch is an empty (falsy) list.
+        if not count:
+            return []
+        return INFER_RECORD.iter_unpack(body[_BATCH_HEAD.size:])
 
     def _decode_result_record(
         self, body: memoryview, off: int
@@ -342,34 +379,35 @@ class BinaryCodecV2:
     ) -> bytes:
         """``items`` is ``(cid, model_idx, arrival_ms)`` per request."""
         pack = INFER_RECORD.pack
-        body = _BATCH_HEAD.pack(len(items)) + b"".join(
-            pack(cid, midx, arrival) for cid, midx, arrival in items
+        return BinaryCodecV2.frame_infer_records(
+            [pack(cid, midx, arrival) for cid, midx, arrival in items]
         )
+
+    @staticmethod
+    def frame_infer_records(packed: list[bytes]) -> bytes:
+        """One INFER_BATCH frame around records already packed with
+        :data:`INFER_RECORD` (a sender that packs as it goes builds no
+        record tuples)."""
+        body = _BATCH_HEAD.pack(len(packed)) + b"".join(packed)
         return _frame(int(FrameType.INFER_BATCH), body)
 
     @staticmethod
-    def _pack_record(record: ResultRecord) -> bytes:
-        cid, tag, midx, arrival, finish, e2e, rr, preempt, retries, plan = record
-        if plan is None:
-            return RESULT_HEAD.pack(
-                cid, tag, midx, arrival, finish, e2e, rr, preempt, retries, 0
-            )
-        n = len(plan)
-        return RESULT_HEAD.pack(
-            cid, tag, midx, arrival, finish, e2e, rr, preempt, retries, n
-        ) + _plan_struct(n).pack(*plan)
+    def encode_result(record: ResultRecord) -> bytes:
+        parts: list[bytes] = []
+        _pack_results((record,), None, parts)
+        return _frame(int(FrameType.RESULT), b"".join(parts))
 
     @classmethod
-    def encode_result(cls, record: ResultRecord) -> bytes:
-        return _frame(int(FrameType.RESULT), cls._pack_record(record))
-
-    @classmethod
-    def encode_result_batch(cls, records: Sequence[ResultRecord]) -> bytes:
-        pack = cls._pack_record
-        body = _BATCH_HEAD.pack(len(records)) + b"".join(
-            pack(r) for r in records
-        )
-        return _frame(int(FrameType.RESULT_BATCH), body)
+    def encode_result_batch(
+        cls,
+        records: Sequence[ResultRecord],
+        model_idx: dict[str, int] | None = None,
+    ) -> bytes:
+        """One RESULT_BATCH frame; ``model_idx`` maps model names to table
+        indices (see :func:`_pack_results`)."""
+        parts = [_BATCH_HEAD.pack(len(records))]
+        _pack_results(records, model_idx, parts)
+        return _frame(int(FrameType.RESULT_BATCH), b"".join(parts))
 
 
 JSON_CODEC = JsonCodec()
@@ -384,10 +422,12 @@ class FrameDecoder:
 
     Feed arbitrary byte chunks; complete frames come out in order. The
     decoder parses over a :class:`memoryview` of the fed chunk, so a
-    chunk carrying whole frames is never copied — only a trailing
-    partial frame is buffered between feeds (and the JSON codec pays one
-    payload copy per frame, because ``json.loads`` needs ``bytes``; the
-    binary codec unpacks records straight off the view).
+    ``bytes`` chunk carrying whole frames is never copied — only a
+    trailing partial frame is buffered between feeds, and a mutable
+    chunk is copied once, because a binary INFER_BATCH payload reads it
+    after the call (the JSON codec pays one payload copy per frame,
+    because ``json.loads`` needs ``bytes``; the binary codec unpacks
+    records straight off the view).
 
     The decoder is *stateful*: after any :class:`ProtocolError` the
     stream offset is untrustworthy, so the connection must be dropped
@@ -412,7 +452,7 @@ class FrameDecoder:
         """Buffer ``data`` and return every frame it completed."""
         if self._poisoned is not None:
             raise self._poisoned
-        if self._buf:
+        if self._buf or type(data) is not bytes:
             data = self._buf + bytes(data)
         view = memoryview(data)
         total = len(view)

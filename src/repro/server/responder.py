@@ -63,11 +63,6 @@ class InferenceHandle:
         """The execution plan fixed at first dispatch (None before)."""
         return self._request.plan_ms
 
-    @property
-    def result_or_none(self) -> InferenceResult | None:
-        """The result without blocking or raising (None unless served)."""
-        return self._result
-
     def add_done_callback(
         self, fn: Callable[["InferenceHandle"], None]
     ) -> None:
@@ -129,9 +124,10 @@ class Responder:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pending: dict[int, InferenceHandle] = {}
-        self.completed: list[InferenceResult] = []
-        # Running totals over ``completed``, updated under the lock at
-        # every append, so a stats snapshot never walks the results.
+        # Running totals of the served results, updated under the lock as
+        # each is served; the results themselves live only in handles
+        # and on the wire, so a settled request leaves nothing behind.
+        self._served = 0
         self._rr_sum = 0.0
         self._rr_max = float("nan")
         self.rejected = 0
@@ -194,41 +190,38 @@ class Responder:
         )
         handle = self._retire(request, "served")
         with self._lock:
-            self._record(result)
+            self._record(result.response_ratio)
         if handle is not None:
             handle._resolve("served", result)
 
-    def _record(self, result: InferenceResult) -> None:
-        """Append a served result and fold it into the running totals
-        (caller holds the lock). Left to right, like a plain loop over
-        ``completed``; the first result sets the maximum."""
-        rr = result.response_ratio
-        if not self.completed or rr > self._rr_max:
+    def _record(self, rr: float) -> None:
+        """Fold one served response ratio into the running totals (caller
+        holds the lock). Left to right in completion order, like a plain
+        loop over the served results; the first result sets the
+        maximum."""
+        if not self._served or rr > self._rr_max:
             self._rr_max = rr
         self._rr_sum += rr
-        self.completed.append(result)
+        self._served += 1
 
     def served_stats(self) -> tuple[int, float, float]:
         """``(served, mean, max)`` of the response ratios served so far,
         read under the lock in O(1); mean and max are NaN before the
         first result."""
         with self._lock:
-            n = len(self.completed)
+            n = self._served
             if not n:
                 return 0, float("nan"), float("nan")
             return n, self._rr_sum / n, self._rr_max
 
-    def settle_batch(
-        self, requests: list[Request], outcomes: list[str]
-    ) -> list[InferenceResult | None]:
+    def settle_batch(self, requests: list[Request], outcomes: list[str]) -> None:
         """Settle a batch of terminal requests under one lock acquisition.
 
         The batched variant of the scalar callbacks above, used by the
         socket front-end's lockstep sink (`docs/serving.md`): ``requests``
-        and ``outcomes`` are aligned, in terminal order. Returns the
-        per-request :class:`InferenceResult` (None for unhappy outcomes)
-        so the caller can build wire replies without recomputing the
-        derived floats.
+        and ``outcomes`` are aligned, in terminal order. An
+        :class:`InferenceResult` is built only for a served request with
+        a registered handle; the wire reply reads the settled request.
 
         Unlike the scalar methods — which count an unhappy outcome only
         when a handle was registered, because engine-internal requests
@@ -237,29 +230,31 @@ class Responder:
         Handles, when registered, still resolve exactly once (outside the
         lock, like the scalar paths).
         """
-        results: list[InferenceResult | None] = []
         resolutions: list[tuple[InferenceHandle, str, InferenceResult | None]]
         resolutions = []
+        pending = self._pending
         with self._lock:
             for request, outcome in zip(requests, outcomes):
                 request.outcome = outcome
-                handle = self._pending.pop(request.request_id, None)
+                handle = pending.pop(request.request_id, None)
                 result: InferenceResult | None = None
                 if outcome == "served":
                     finish = request.finish_ms
                     assert finish is not None
                     e2e = finish - request.arrival_ms
-                    result = InferenceResult(
-                        request.request_id,
-                        request.task_type,
-                        request.arrival_ms,
-                        finish,
-                        e2e,
-                        e2e / request.ext_ms,
-                        request.preemptions,
-                        request.retries,
-                    )
-                    self._record(result)
+                    rr = e2e / request.ext_ms
+                    self._record(rr)
+                    if handle is not None:
+                        result = InferenceResult(
+                            request.request_id,
+                            request.task_type,
+                            request.arrival_ms,
+                            finish,
+                            e2e,
+                            rr,
+                            request.preemptions,
+                            request.retries,
+                        )
                 elif outcome == "rejected":
                     self.rejected += 1
                 elif outcome == "shed":
@@ -270,12 +265,10 @@ class Responder:
                     self.timed_out += 1
                 else:
                     raise ServerError(f"unknown terminal outcome {outcome!r}")
-                results.append(result)
                 if handle is not None:
                     resolutions.append((handle, outcome, result))
         for handle, outcome, result in resolutions:
             handle._resolve(outcome, result)
-        return results
 
     def in_flight(self) -> int:
         with self._lock:

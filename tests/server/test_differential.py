@@ -56,8 +56,9 @@ def test_all_served_in_both(live_run, sim_run):
 
 def test_completion_type_order_agrees(live_run, sim_run):
     srv, handles = live_run
+    live_results = [h.result(1.0) for _, h in handles]
     live_order = [
-        r.model for r in sorted(srv.responder.completed, key=lambda r: r.finish_ms)
+        r.model for r in sorted(live_results, key=lambda r: r.finish_ms)
     ]
     sim_order = [
         r.task_type
@@ -95,7 +96,7 @@ def test_preemption_counts_agree(live_run, sim_run):
     and must survive the threaded implementation."""
     srv, handles = live_run
     live_by_req = sorted(
-        (r.model, r.preemptions) for r in srv.responder.completed
+        (r.model, r.preemptions) for r in (h.result(1.0) for _, h in handles)
     )
     sim_by_req = sorted(
         (r.task_type, r.preemptions)

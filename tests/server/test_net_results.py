@@ -3,7 +3,7 @@
 The wire differential compares replay summaries, which read only the
 outcome, model, arrival, finish and plan of each result. The JSON and
 the binary codec build their :class:`WireResult` records in separate
-code (``_result_from_payload`` and ``AsyncNetClient._result_from_record``),
+code (``_result_from_payload`` and ``_ResultCodec._decode_result_record``),
 so a constructor that swapped ``e2e_ms`` and ``response_ratio``, or
 dropped ``retries``, would still pass it. Here one robust lockstep trace
 is replayed once per codec and every field of every result is compared.

@@ -59,7 +59,7 @@ def test_many_requests_all_complete(server):
     results = [h.result(1.0) for h in handles]
     assert len(results) == 40
     assert server.responder.in_flight() == 0
-    assert len(server.responder.completed) == 40
+    assert server.stats()["completed"] == 40
 
 
 def test_short_requests_preempt_long():
@@ -152,15 +152,16 @@ def test_stats_snapshot(server):
     assert stats["rejected"] == 0
 
 
-def _loop_over_completed(server):
+def _loop_over_served(results):
     """The STATS response-ratio fields, recomputed by a left-to-right
-    loop over every served result (not ``sum()``, which compensates)."""
+    loop over the served results in the order they resolved (not
+    ``sum()``, which compensates)."""
     total, peak = 0.0, None
-    for result in server.responder.completed:
+    for result in results:
         total += result.response_ratio
         if peak is None or result.response_ratio > peak:
             peak = result.response_ratio
-    return total / len(server.responder.completed), peak
+    return total / len(results), peak
 
 
 def test_stats_response_ratios_equal_a_loop(server):
@@ -171,16 +172,21 @@ def test_stats_response_ratios_equal_a_loop(server):
     server.start()
     handles = [server.submit(m) for m in ("yolov2", "vgg19", "yolov2") * 8]
     server.drain(timeout_s=30.0)
-    for h in handles:
-        h.result(timeout_s=1.0)
+    # One assigner thread resolves them as it finishes them, so their
+    # resolution order is their finish order.
+    served = sorted(
+        (h.result(timeout_s=1.0) for h in handles), key=lambda r: r.finish_ms
+    )
     # The batched settlement feeds the same running totals.
     spec = server.specs["vgg19"]
     batch = [Request(task=spec, arrival_ms=float(i)) for i in range(4)]
     for i, request in enumerate(batch):
         request.finish_ms = 100.0 + 7.3 * i
+    batch_handles = [server.responder.register(r) for r in batch]
     server.responder.settle_batch(batch, ["served", "shed", "served", "failed"])
+    served += [h.result(timeout_s=1.0) for h in batch_handles if h.outcome == "served"]
     stats = server.stats()
-    assert stats["completed"] == len(server.responder.completed) == 26
-    mean, peak = _loop_over_completed(server)
+    assert stats["completed"] == len(served) == 26
+    mean, peak = _loop_over_served(served)
     assert stats["mean_response_ratio"] == mean
     assert stats["max_response_ratio"] == peak
