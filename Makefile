@@ -1,6 +1,6 @@
 # Development conveniences for the SPLIT reproduction.
 
-.PHONY: install test coverage typecheck bench-check profile profile-serve experiments results examples serve net-test chaos-test clean
+.PHONY: install test coverage typecheck bench-check profile profile-serve opcount experiments results examples serve net-test chaos-test clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -50,6 +50,15 @@ CODEC ?= binary-v2
 BATCH ?= 512
 profile-serve:
 	python -m benchmarks.profile_serve $(SERVE_N) $(TOP) $(CODEC) $(BATCH)
+
+# Bytecodes per request of one replay of an end-to-end workload, counted
+# under an opcode tracer on every thread (by thread, file and function;
+# see benchmarks/opcount.py). N here defaults to 3000 requests:
+# make opcount W=wire_json N=3000
+W ?= wire_json
+opcount: N = 3000
+opcount:
+	python3 benchmarks/opcount.py $(W) --n $(N)
 
 # The wire-level serving suite (differential replay, protocol fuzzing,
 # concurrency stress, backpressure) — CI runs this three times in a row

@@ -228,6 +228,9 @@ class AsyncNetClient:
         self._resume_task: asyncio.Task | None = None
         self._conn_error: BaseException | None = None
         self._decoder = FrameDecoder()
+        # Frames of unflushed submits, sent in one write() by the next
+        # flush, flushed submit, control frame or close().
+        self._buf: list[bytes] = []
         self.binary = False
         #: The HELLO ACK's model table (binary INFER records index it).
         self.model_names: list[str] = []
@@ -310,8 +313,13 @@ class AsyncNetClient:
                 data = await self._reader.read(65536)
                 if not data:
                     return ConnectionLost("server closed connection")
-                for ftype, payload in self._decoder.feed(data):
-                    self._on_frame(ftype, payload)
+                # The decoder stops behind a HELLO ACK, whose handling
+                # may switch its codec for the frames that follow.
+                frames = self._decoder.feed(data)
+                while frames:
+                    for ftype, payload in frames:
+                        self._on_frame(ftype, payload)
+                    frames = self._decoder.feed(b"")
         except (ConnectionError, OSError, ProtocolError) as exc:
             return exc
 
@@ -345,8 +353,10 @@ class AsyncNetClient:
             old_writer = self._writer
             self._reader, self._writer = reader, writer
             # Fresh transport starts the wire over: JSON until the
-            # resume task re-negotiates the stored codec.
+            # resume task re-negotiates the stored codec. Unflushed infers
+            # are in the replay set, so their frames are dropped.
             self._decoder = FrameDecoder()
+            self._buf.clear()
             self.binary = False
             try:
                 old_writer.close()
@@ -551,12 +561,23 @@ class AsyncNetClient:
         self._arm_deadline(cid)
         return cid, fut
 
+    def _write(self, frame: bytes = b"") -> None:
+        """Write the buffered frames, then ``frame``, in one write()."""
+        buf = self._buf
+        if buf:
+            if frame:
+                buf.append(frame)
+            frame = b"".join(buf)
+            buf.clear()
+        if frame:
+            self._writer.write(frame)
+
     async def _send(
         self, kind: str, ftype: FrameType, payload: dict[str, Any]
     ) -> asyncio.Future:
         cid, fut = self._register_waiter(kind)
         payload = {"id": cid, **payload}
-        self._writer.write(self._decoder.codec.encode(ftype, payload))
+        self._write(self._decoder.codec.encode(ftype, payload))
         await self._writer.drain()
         return fut
 
@@ -592,8 +613,14 @@ class AsyncNetClient:
         arrival_ms: float | None = None,
         *,
         echo: Any = None,
+        flush: bool = True,
     ) -> asyncio.Future:
-        """Send one infer frame; returns the future without awaiting it."""
+        """Send one infer frame; returns the future without awaiting it.
+
+        ``flush=False`` appends the frame to the client's buffer instead:
+        the next :meth:`flush`, flushed submit, control frame or
+        :meth:`close` writes every buffered frame, in submission order,
+        in one ``write()``."""
         if self.binary:
             if echo is not None:
                 raise ServerError("echo travels on the JSON codec only")
@@ -601,18 +628,18 @@ class AsyncNetClient:
             midx = self._model_index(model)
             cid, fut = self._register_waiter("infer")
             self._pending[cid] = (model, arrival_ms, None)
-            self._writer.write(
-                BinaryCodecV2.encode_infer(cid, midx, arrival_ms)
-            )
+            frame = BinaryCodecV2.encode_infer(cid, midx, arrival_ms)
         else:
             cid, fut = self._register_waiter("infer")
             self._pending[cid] = (model, arrival_ms, echo)
-            self._writer.write(
-                self._decoder.codec.encode(
-                    FrameType.INFER, _json_infer(cid, model, arrival_ms, echo)
-                )
+            frame = self._decoder.codec.encode(
+                FrameType.INFER, _json_infer(cid, model, arrival_ms, echo)
             )
-        await self._writer.drain()
+        if flush:
+            self._write(frame)
+            await self._writer.drain()
+        else:
+            self._buf.append(frame)
         return fut
 
     async def submit_batch(
@@ -624,9 +651,10 @@ class AsyncNetClient:
     ) -> list[asyncio.Future]:
         """Send one INFER_BATCH frame for ``(model, arrival_ms)`` pairs.
 
-        Returns one future per item, in order. ``flush=False`` leaves the
-        frame in the transport buffer (pipelined replay flushes once per
-        window instead of once per batch). ``track=False`` skips the
+        Returns one future per item, in order. ``flush=False`` appends the
+        frame to the client's buffer, as on :meth:`submit` (pipelined
+        replay writes once per window instead of once per batch).
+        ``track=False`` skips the
         per-item futures entirely (returns ``[]``): replies land only in
         ``received`` and completion is observed with
         :meth:`wait_received` — the cheap path for bulk replays, where a
@@ -652,7 +680,7 @@ class AsyncNetClient:
                 packed.append(
                     pack(cid, midx, _NAN if arrival_ms is None else arrival_ms)
                 )
-            self._writer.write(BinaryCodecV2.frame_infer_records(packed))
+            frame = BinaryCodecV2.frame_infer_records(packed)
         else:
             wire_items: list[dict[str, Any]] = []
             for model, arrival_ms in items:
@@ -663,13 +691,14 @@ class AsyncNetClient:
                 else:
                     cid = next(ids)
                 wire_items.append(_json_infer(cid, model, arrival_ms))
-            self._writer.write(
-                encode_frame(FrameType.INFER_BATCH, {"items": wire_items})
-            )
+            frame = encode_frame(FrameType.INFER_BATCH, {"items": wire_items})
         if not track:
             self._untracked += len(items)
         if flush:
+            self._write(frame)
             await self._writer.drain()
+        else:
+            self._buf.append(frame)
         return futures
 
     async def wait_received(self, n: int) -> None:
@@ -694,7 +723,9 @@ class AsyncNetClient:
             raise self._conn_error
 
     async def flush(self) -> None:
-        """Honour transport flow control for previously unflushed sends."""
+        """Write every buffered frame in one ``write()``, then honour
+        transport flow control."""
+        self._write()
         await self._writer.drain()
 
     async def infer(
@@ -750,6 +781,7 @@ class AsyncNetClient:
         except (asyncio.CancelledError, ConnectionError, OSError):
             pass
         try:
+            self._write()  # unflushed submits still go out
             self._writer.close()
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
@@ -875,6 +907,26 @@ class ReplayReport:
         return len(self.results) == self.sent
 
 
+async def _completed(futures: list[asyncio.Future]) -> None:
+    """Wait for every future, raising the first failure.
+
+    After a lockstep DRAIN's ACK every future is already resolved (the
+    server answers each infer before the ACK), so they are read in order,
+    without the done callbacks of ``gather``; ``gather`` is the fallback
+    while some future is pending."""
+    for fut in futures:
+        if not fut.done():
+            await asyncio.gather(*futures)
+            return
+    error = None
+    for fut in futures:
+        exc = fut.exception()  # marks every failure as retrieved
+        if exc is not None and error is None:
+            error = exc
+    if error is not None:
+        raise error
+
+
 async def replay_items_async(
     host: str,
     port: int,
@@ -900,10 +952,12 @@ async def replay_items_async(
 
     ``codec`` negotiates the wire codec per connection before any infer;
     ``batch_size > 1`` ships the lockstep trace as INFER_BATCH frames of
-    that many arrivals, flushing the transport every ``window`` batches —
-    the pipelined fast path the benchmarks measure. Note that a lockstep
-    server buffers terminal results, so the whole trace must fit inside
-    the server's ``max_inflight`` for an un-drained pipelined replay.
+    that many arrivals. A lockstep replay buffers its frames and writes
+    them every ``window`` frames — batches, or singles when
+    ``batch_size`` is 1 — the pipelined path the benchmarks measure.
+    Note that a lockstep server buffers terminal results, so the whole
+    trace must fit inside the server's ``max_inflight`` for an un-drained
+    pipelined replay.
 
     ``request_timeout_s`` / ``reconnect`` forward to
     :meth:`AsyncNetClient.connect` — with them a mid-replay server crash
@@ -932,32 +986,34 @@ async def replay_items_async(
         futures: list[asyncio.Future] = []
         if mode == "lockstep":
             (client,) = clients
-            if batch_size > 1:
-                # Untracked bulk path: no future per request, completion
-                # is the result count (one terminal frame per request is
-                # the lockstep conservation contract).
-                since_flush = 0
-                for start in range(0, len(items), batch_size):
-                    batch = [
-                        (item.model_name, item.arrival_ms)
-                        for item in items[start : start + batch_size]
-                    ]
-                    await client.submit_batch(batch, flush=False, track=False)
-                    since_flush += 1
-                    if since_flush >= window:
-                        await client.flush()
-                        since_flush = 0
+            # One write per window of frames.
+            step = window * batch_size
+            for first in range(0, len(items), step):
+                last = min(first + step, len(items))
+                if batch_size > 1:
+                    # Untracked bulk path: no future per request,
+                    # completion is the result count (one terminal frame
+                    # per request is the lockstep conservation contract).
+                    for start in range(first, last, batch_size):
+                        batch = [
+                            (item.model_name, item.arrival_ms)
+                            for item in items[start : start + batch_size]
+                        ]
+                        await client.submit_batch(
+                            batch, flush=False, track=False
+                        )
+                else:
+                    for item in items[first:last]:
+                        futures.append(
+                            await client.submit(
+                                item.model_name, item.arrival_ms, flush=False
+                            )
+                        )
                 await client.flush()
-                if drain:
-                    await client.drain()
+            if drain:
+                await client.drain()
+            if batch_size > 1:
                 await client.wait_received(len(items))
-            else:
-                for item in items:
-                    futures.append(
-                        await client.submit(item.model_name, item.arrival_ms)
-                    )
-                if drain:
-                    await client.drain()
         else:
             t0 = loop.time()
             for i, item in enumerate(items):
@@ -969,7 +1025,7 @@ async def replay_items_async(
                 )
             if drain:
                 await clients[0].drain()
-        await asyncio.gather(*futures)
+        await _completed(futures)
         wall_s = loop.time() - t_start
         results = [r for c in clients for r in c.received]
         return ReplayReport(results=results, sent=len(items), wall_s=wall_s)

@@ -25,20 +25,23 @@ every infer (a binary record, a JSON frame, a JSON batch item) becomes a
 records in that shape — with its echo beside it, and one intake
 (``_admit``) checks backpressure, the model, the lockstep stamp and its
 ordering, in that precedence, before submitting the accepted records
-together. On the way out, every outcome (a result, an unhappy terminal,
-a refusal) becomes one reply record, read off the settled request, and
-the connection renders its records in its codec: packed RESULT_BATCH
-frames on binary, one RESULT/ERROR frame per record on JSON. Echo rides
-the one in-flight ledger in both modes. Once a request is settled the
-server keeps nothing of it.
+together. The records of one INFER_BATCH frame, or of a run of
+consecutive INFER frames in one socket read, go through one call. On the
+way out, every outcome (a result, an unhappy terminal, a refusal)
+becomes one reply record, read off the settled request, and the
+connection renders its records in its codec: packed RESULT_BATCH frames
+on binary, one RESULT/ERROR frame per record on JSON (a served RESULT is
+formatted straight from its record). Echo rides the one in-flight ledger
+in both modes. Once a request is settled the server keeps nothing of it.
 
-The hot path is batched end to end: INFER_BATCH frames land as whole
-arrival chunks on the lockstep engine's intake (driving the kernel's
-batched lane through ``bulk_admit``), terminal settlement goes
-through :meth:`Responder.settle_batch` under one lock, and results flow
-back with one event-loop hop per sink batch and RESULT_BATCH frames on
-binary connections. Each connection's writer coalesces queued frames
-into single socket writes.
+The hot path is batched end to end: INFER_BATCH frames and runs of
+INFER frames land as whole arrival chunks on the lockstep engine's
+intake (driving the kernel's batched lane through ``bulk_admit``),
+terminal settlement goes through :meth:`Responder.settle_batch` under
+one lock, and results flow back with one event-loop hop per sink batch,
+as one outbound queue item per connection, and in RESULT_BATCH frames on
+binary connections. Each connection's writer coalesces queued items into
+single socket writes.
 
 ``shards=N`` spreads connections over N acceptor loops (SO_REUSEPORT
 kernel steering where the platform has it, an in-process accept-and-
@@ -95,6 +98,8 @@ from repro.server.protocol import (
     FrameDecoder,
     FrameType,
     ProtocolError,
+    _COMPACT_JSON,
+    _frame,
     encode_frame,
 )
 from repro.server.responder import InferenceHandle
@@ -102,6 +107,7 @@ from repro.server.server import SplitServer
 
 _EOF = object()
 _CLOSE = None  # writer-task sentinel
+_INFER = FrameType.INFER
 _NAN = float("nan")
 _INF = float("inf")
 #: The echoes of binary infer records, which carry none: an endless,
@@ -404,15 +410,16 @@ class _Connection:
         reply renderer, for results and refusals alike."""
         if self.binary:
             return _packed_result_frames(records, self.model_idx)
-        return _json_result_frames(records)
+        return _json_result_frames(records, self.server._json_texts)
 
     def send(self, ftype: FrameType, payload: dict[str, Any]) -> bool:
         """Encode one control frame with the connection's codec and
         enqueue it (both codecs carry JSON bodies for control types)."""
         return self.send_bytes(self.decoder.codec.encode(ftype, payload))
 
-    def send_bytes(self, frame: bytes) -> bool:
-        """Enqueue one pre-encoded frame; drops (and counts) when full.
+    def send_bytes(self, data: bytes, frames: int = 1) -> bool:
+        """Enqueue ``frames`` pre-encoded frames, joined in ``data``, as
+        one queue item; drops (and counts) them when the queue is full.
 
         Dropping rather than blocking is the slow-reader contract: a
         client that stops reading loses *its own* frames while the
@@ -422,11 +429,11 @@ class _Connection:
         if self.closed:
             return False
         try:
-            self.out.put_nowait(frame)
+            self.out.put_nowait(data)
         except asyncio.QueueFull:
-            self.shard.results_dropped += 1
+            self.shard.results_dropped += frames
             return False
-        self.shard.frames_out += 1
+        self.shard.frames_out += frames
         return True
 
     async def writer_loop(self) -> None:
@@ -485,6 +492,26 @@ def _reply_record(cid: int, echo: Any, request: Request, outcome: str) -> tuple:
     )
 
 
+def _json_record(item: dict[str, Any]) -> tuple[int, str, float] | None:
+    """A JSON infer (frame or batch item) as an intake record; None when
+    its id or model is malformed (the caller nacks it). A stamp that is
+    not a number, or an integer too large for a float, becomes NaN, i.e.
+    "no stamp"."""
+    cid = item.get("id")
+    model = item.get("model")
+    if not isinstance(cid, int) or not isinstance(model, str):
+        return None
+    arrival = item.get("arrival_ms")
+    if type(arrival) is float:
+        return cid, model, arrival
+    if isinstance(arrival, bool) or not isinstance(arrival, (int, float)):
+        return cid, model, _NAN
+    try:
+        return cid, model, float(arrival)
+    except OverflowError:
+        return cid, model, _NAN
+
+
 def _refusal_record(
     cid: int, tag: int, model: Any, arrival_ms: float, echo: Any
 ) -> tuple:
@@ -521,12 +548,54 @@ def _packed_result_frames(
     return frames
 
 
-def _json_result_frames(records: list[tuple]) -> list[bytes]:
-    """JSON rendering: one RESULT or ERROR frame per record. An ERROR
-    omits a NaN ``arrival_ms`` (an infer refused before it had a stamp):
-    JSON has no NaN."""
+#: A served RESULT body in the key order, separators and number forms
+#: of ``encode_frame(FrameType.RESULT, payload)``; the model name, the
+#: plan and the echo arrive as JSON text.
+_RESULT_BODY = (
+    '{"id":%d,"model":%s,"arrival_ms":%r,"finish_ms":%r,"e2e_ms":%r,'
+    '"response_ratio":%r,"preemptions":%d,"retries":%d,"plan_ms":%s%s}'
+)
+_RESULT = int(FrameType.RESULT)
+
+
+def _json_result_frames(
+    records: list[tuple], texts: dict[str, tuple[str, dict[int, tuple]]]
+) -> list[bytes]:
+    """JSON rendering: one RESULT or ERROR frame per record.
+
+    A served record whose id is a plain int and whose four times are
+    finite floats is formatted straight into its RESULT body, byte for
+    byte what ``encode_frame`` makes of the payload dict. ``texts`` holds
+    each model's name as JSON text and the JSON text of its last two
+    plans, keyed by the plan object's identity (a model's split and
+    unsplit plan are shared tuples; an entry keeps its plan alive, so no
+    other plan can take its id). Only served records reach it, so it
+    holds at most one entry per deployed model. Every other record takes
+    ``encode_frame``. An ERROR omits a NaN ``arrival_ms`` (an infer
+    refused before it had a stamp): JSON has no NaN."""
     frames: list[bytes] = []
     for cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan, echo in records:
+        if tag == 0 and type(cid) is int:
+            # NaN or an infinity in any of the four makes the sum fail
+            # the test; a float subclass makes it fail the type check.
+            total = arrival + finish + e2e + rr
+            if type(total) is float and total - total == 0.0:
+                entry = texts.get(model)
+                if entry is None:
+                    entry = texts[model] = (_COMPACT_JSON.encode(model), {})
+                name, plans = entry
+                known = plans.get(id(plan))
+                if known is None:
+                    if len(plans) > 1:
+                        plans.clear()
+                    known = plans[id(plan)] = (plan, _COMPACT_JSON.encode(plan))
+                body = _RESULT_BODY % (
+                    cid, name, arrival, finish, e2e, rr, preempt, retries,
+                    known[1],
+                    "" if echo is None else ',"echo":' + _COMPACT_JSON.encode(echo),
+                )
+                frames.append(_frame(_RESULT, body.encode()))
+                continue
         plan_ms = list(plan) if plan is not None else None
         payload: dict[str, Any]
         if tag == 0:
@@ -619,6 +688,10 @@ class NetServer:
         #: request (per-op dict access is GIL-atomic and keys never
         #: collide).
         self._pending: dict[int, tuple[_Connection, int, Any, Request]] = {}
+        #: Per deployed model, its name and last plans as JSON text, for
+        #: the served RESULT frames of JSON connections (see
+        #: :func:`_json_result_frames`).
+        self._json_texts: dict[str, tuple[str, dict[int, tuple]]] = {}
         if mode == "lockstep":
             self._core = _LockstepCore(
                 SequentialEngine(SplitScheduler(), robustness=robustness),
@@ -895,28 +968,10 @@ class NetServer:
         if task is not None:
             shard.tasks.add(task)
         writer_task = asyncio.get_running_loop().create_task(conn.writer_loop())
-        decoder = conn.decoder
         try:
             while True:
                 data = await reader.read(65536)
-                if not data:
-                    break
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    shard.protocol_errors += 1
-                    conn.send(
-                        FrameType.ERROR,
-                        {"id": None, "code": ERR_PROTOCOL, "message": str(exc)},
-                    )
-                    break
-                ok = True
-                for ftype, payload in frames:
-                    shard.frames_in += 1
-                    if not await self._dispatch(conn, ftype, payload):
-                        ok = False
-                        break
-                if not ok:
+                if not data or not await self._serve_read(conn, data):
                     break
         except (ConnectionError, OSError):
             pass
@@ -944,24 +999,73 @@ class NetServer:
                 pass
             shard.conns.discard(conn)
 
+    async def _serve_read(self, conn: _Connection, data: bytes) -> bool:
+        """Decode and handle the frames of one socket read; False closes
+        the connection.
+
+        Both codecs' infers reach the intake as ``(cid, model,
+        arrival_ms)`` records: binary records, as decoded, name the model
+        by HELLO table index (NaN arrival = no stamp) and carry no echo;
+        JSON items name it by task name, their echoes aligned beside them.
+        A run of consecutive INFER frames is admitted with one
+        :meth:`_admit` call. The run ends before any other frame, before
+        a JSON infer that gets a protocol nack, and at the end of the
+        read, so every reply keeps the order per-frame admission gives it.
+        """
+        decoder = conn.decoder
+        shard = conn.shard
+        while True:
+            try:
+                frames = decoder.feed(data)
+            except ProtocolError as exc:
+                shard.protocol_errors += 1
+                conn.send(
+                    FrameType.ERROR,
+                    {"id": None, "code": ERR_PROTOCOL, "message": str(exc)},
+                )
+                return False
+            if not frames:
+                return True
+            data = b""
+            records: list[tuple] = []
+            echoes: list[Any] = []
+            for ftype, payload in frames:
+                shard.frames_in += 1
+                if ftype is _INFER:
+                    if type(payload) is tuple:
+                        records.append(payload)
+                        continue
+                    record = _json_record(payload)
+                    if record is not None:
+                        records.append(record)
+                        echoes.append(payload.get("echo"))
+                        continue
+                if records:
+                    self._admit_run(conn, records, echoes)
+                    records = []
+                    echoes = []
+                if ftype is _INFER:
+                    self._nack_json_infer(conn, payload)
+                elif not await self._dispatch(conn, ftype, payload):
+                    return False
+            if records:
+                self._admit_run(conn, records, echoes)
+
+    def _admit_run(
+        self, conn: _Connection, records: list[tuple], echoes: list[Any]
+    ) -> None:
+        """Admit a run of INFER frames, all decoded in the connection's
+        current codec (a HELLO ends the run before it switches)."""
+        if conn.binary:
+            self._admit(conn, records, conn.model_specs)
+        else:
+            self._admit(conn, records, self.split.specs, echoes)
+
     async def _dispatch(
         self, conn: _Connection, ftype: FrameType, payload: Any
     ) -> bool:
-        """Handle one client frame; False closes the connection."""
-        # Both codecs' infers reach the intake as (cid, model, arrival_ms)
-        # records: binary records, as decoded, name the model by HELLO
-        # table index (NaN arrival = no stamp) and carry no echo; JSON
-        # items name it by task name, their echoes aligned beside them.
-        if ftype is FrameType.INFER:
-            if isinstance(payload, tuple):
-                self._admit(conn, [payload], conn.model_specs)
-            else:
-                record = self._json_record(conn, payload)
-                if record is not None:
-                    self._admit(
-                        conn, [record], self.split.specs, (payload.get("echo"),)
-                    )
-            return True
+        """Handle one client frame other than INFER; False closes the
+        connection."""
         if ftype is FrameType.INFER_BATCH:
             if not isinstance(payload, dict):
                 self._admit(conn, payload, conn.model_specs)
@@ -982,10 +1086,12 @@ class NetServer:
                         conn, None, "infer_batch items must be objects"
                     )
                     continue
-                record = self._json_record(conn, item)
-                if record is not None:
-                    records.append(record)
-                    echoes.append(item.get("echo"))
+                record = _json_record(item)
+                if record is None:
+                    self._nack_json_infer(conn, item)
+                    continue
+                records.append(record)
+                echoes.append(item.get("echo"))
             self._admit(conn, records, self.split.specs, echoes)
             return True
         if ftype is FrameType.HELLO:
@@ -1077,29 +1183,13 @@ class NetServer:
             conn.lane.last_ms = times[-1]
             conn.lane.put_chunk(times, requests)
 
-    def _json_record(
-        self, conn: _Connection, item: dict[str, Any]
-    ) -> tuple[int, str, float] | None:
-        """A JSON infer (frame or batch item) as an intake record; None
-        after a protocol nack when its id or model is malformed. A stamp
-        that is not a number, or an integer too large for a float,
-        becomes NaN, i.e. "no stamp"."""
+    def _nack_json_infer(self, conn: _Connection, item: dict[str, Any]) -> None:
+        """The protocol nack for a JSON infer :func:`_json_record` refused."""
         cid = item.get("id")
-        if not isinstance(cid, int):
-            self._protocol_nack(conn, None, "infer frame needs an integer id")
-            return None
-        model = item.get("model")
-        if not isinstance(model, str):
+        if isinstance(cid, int):
             self._protocol_nack(conn, cid, "infer frame needs a model name")
-            return None
-        arrival = item.get("arrival_ms")
-        if isinstance(arrival, bool) or not isinstance(arrival, (int, float)):
-            arrival = _NAN
-        try:
-            stamp = float(arrival)
-        except OverflowError:
-            stamp = _NAN
-        return cid, model, stamp
+        else:
+            self._protocol_nack(conn, None, "infer frame needs an integer id")
 
     def _admit(
         self,
@@ -1116,8 +1206,9 @@ class NetServer:
         this precedence:
         backpressure, unknown model, a bad lockstep stamp (a protocol
         nack), then bad_state / out_of_order; they come back as reply
-        records. Accepted records enter the ledger and are submitted
-        together: one lockstep intake chunk, or one realtime batch.
+        records, sent in record order. Accepted records enter the ledger
+        and are submitted together: one lockstep intake chunk, or one
+        realtime batch, whose requests share one arrival stamp.
         Synchronous on purpose: no await between the checks and the
         submission, so frame order on one connection is submission order.
         """
@@ -1152,6 +1243,10 @@ class NetServer:
                 continue
             if lockstep:
                 if not 0.0 <= arrival < _INF:  # NaN (no stamp), <0 or inf
+                    # Replies leave in record order: earlier refusals first.
+                    if refused:
+                        self._send_refusals(conn, refused)
+                        refused = []
                     self._protocol_nack(
                         conn,
                         cid,
@@ -1179,8 +1274,14 @@ class NetServer:
                 for handle in self.split.submit_batch(requests, now):
                     handle.add_done_callback(deliver)
         if refused:
-            for frame in conn.render(refused):
-                conn.send_bytes(frame)
+            self._send_refusals(conn, refused)
+
+    @staticmethod
+    def _send_refusals(conn: _Connection, refused: list[tuple]) -> None:
+        # One queue item per frame: a slow reader's bounded queue drops
+        # refusals one by one, like any other frame of its own.
+        for frame in conn.render(refused):
+            conn.send_bytes(frame)
 
     # -- settlement ----------------------------------------------------------
     def _settle_lockstep(
@@ -1218,34 +1319,39 @@ class NetServer:
 
     def _post(self, replies: dict[_Connection, list[tuple]]) -> None:
         """Render each connection's reply records on the calling thread
-        (off the event loop), then hand the frames over with one
-        call_soon_threadsafe per shard loop."""
+        (off the event loop) and join its frames, then hand them over
+        with one call_soon_threadsafe per shard loop."""
         by_loop: dict[
             asyncio.AbstractEventLoop,
-            list[tuple[_Connection, list[bytes], int]],
+            list[tuple[_Connection, bytes, int, int]],
         ] = {}
         for conn, records in replies.items():
-            by_loop.setdefault(conn.loop, []).append(
-                (conn, conn.render(records), len(records))
-            )
+            frames = conn.render(records)
+            by_loop.setdefault(conn.loop, []).append((
+                conn,
+                frames[0] if len(frames) == 1 else b"".join(frames),
+                len(frames),
+                len(records),
+            ))
         for loop, entries in by_loop.items():
             try:
                 loop.call_soon_threadsafe(self._flush_deliveries, entries)
             except RuntimeError:  # loop already closed at teardown
-                for conn, _frames, count in entries:
+                for conn, _data, _frames, count in entries:
                     conn.shard.orphaned_results += count
 
     @staticmethod
     def _flush_deliveries(
-        entries: list[tuple[_Connection, list[bytes], int]]
+        entries: list[tuple[_Connection, bytes, int, int]]
     ) -> None:
-        for conn, frames, count in entries:
+        """Queue each connection's post as one item (the writer sends it
+        in one write; a lockstep queue is sized never to drop)."""
+        for conn, data, frames, count in entries:
             conn.inflight -= count
             if conn.closed:
                 conn.shard.orphaned_results += count
                 continue
-            for frame in frames:
-                conn.send_bytes(frame)
+            conn.send_bytes(data, frames)
 
     def _abort_lockstep(self) -> None:
         """Engine crash, or a drained engine that left requests unsettled:

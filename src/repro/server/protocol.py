@@ -52,6 +52,8 @@ from repro.errors import ServerError
 MAX_FRAME = 1 << 20
 
 _HEADER = struct.Struct("!I")
+#: The length prefix and the type byte, packed together.
+_FRAME_HEAD = struct.Struct("!IB")
 
 #: Codec names for the HELLO handshake.
 CODEC_JSON = "json"
@@ -140,7 +142,7 @@ def _frame(ftype: int, body: bytes) -> bytes:
         raise FrameTooLarge(
             f"frame of {length} bytes exceeds MAX_FRAME={MAX_FRAME}"
         )
-    return _HEADER.pack(length) + bytes([ftype]) + body
+    return _FRAME_HEAD.pack(length, ftype) + body
 
 
 #: One compact encoder for every JSON body: ``json.dumps`` with any
@@ -413,6 +415,9 @@ class BinaryCodecV2:
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodecV2()
 
+_HELLO = FrameType.HELLO
+_ACK = FrameType.ACK
+
 #: HELLO-negotiable codecs by wire name.
 CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY: BINARY_CODEC}
 
@@ -433,6 +438,11 @@ class FrameDecoder:
     stream offset is untrustworthy, so the connection must be dropped
     (feeding more data keeps raising). :meth:`set_codec` switches the
     payload codec at a frame boundary (the HELLO handshake's contract).
+
+    A HELLO or ACK frame may be such a boundary, so :meth:`feed` stops
+    decoding right after one and keeps the bytes behind it buffered: the
+    caller handles the frames it got (switching codec if the handshake
+    says so), then calls ``feed(b"")`` again until no frame comes back.
     """
 
     def __init__(self, codec: JsonCodec | BinaryCodecV2 = JSON_CODEC) -> None:
@@ -449,7 +459,8 @@ class FrameDecoder:
         self._codec = codec
 
     def feed(self, data: bytes | bytearray) -> list[tuple[FrameType, Any]]:
-        """Buffer ``data`` and return every frame it completed."""
+        """Buffer ``data`` and return the frames it completed, up to and
+        including the first HELLO or ACK (see the class docstring)."""
         if self._poisoned is not None:
             raise self._poisoned
         if self._buf or type(data) is not bytes:
@@ -484,11 +495,18 @@ class FrameDecoder:
                 )
                 out.append((ftype, payload))
                 off = end
+                if ftype is _HELLO or ftype is _ACK:
+                    break
         except ProtocolError as exc:
             self._poisoned = exc
             self._buf = b""
             raise
-        self._buf = bytes(view[off:]) if off < total else b""
+        # ``data`` is an immutable bytes object here: nothing decoded means
+        # it can be kept as it is.
+        if not off:
+            self._buf = data
+        else:
+            self._buf = bytes(view[off:]) if off < total else b""
         return out
 
     @property
@@ -509,5 +527,8 @@ def decode_frames(
 ) -> Iterator[tuple[FrameType, Any]]:
     """Decode a complete byte string; raises on any trailing partial frame."""
     decoder = FrameDecoder(codec)
-    yield from decoder.feed(data)
+    frames = decoder.feed(data)
+    while frames:
+        yield from frames
+        frames = decoder.feed(b"")
     decoder.eof()

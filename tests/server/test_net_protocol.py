@@ -73,7 +73,10 @@ def test_roundtrip_survives_arbitrary_chunking(frames, cut_points):
     decoder = FrameDecoder()
     decoded = []
     for chunk in _chunks(wire, cut_points):
-        decoded.extend(decoder.feed(chunk))
+        got = decoder.feed(chunk)
+        while got:  # a feed ends at a HELLO or ACK: drain what follows
+            decoded.extend(got)
+            got = decoder.feed(b"")
     decoder.eof()
     assert decoded == [
         (f, json.loads(json.dumps(p))) for f, p in frames
