@@ -1,8 +1,8 @@
 """Bytecodes per request of one end-to-end replay, counted exactly.
 
-``python3 benchmarks/opcount.py WORKLOAD [--n N] [--seed S] [--top K]``
-(``make opcount W=wire_json N=3000``) sets up one workload of the
-end-to-end benchmark (``benchmarks/e2e``) at ``n`` requests, replays it
+``python3 benchmarks/opcount.py WORKLOAD [--n N]`` (``make opcount
+W=wire_json N=3000``) sets up one workload of the end-to-end benchmark
+(``benchmarks/e2e``) at ``n`` requests and seed 0, replays it
 once to warm every cache, then replays it again in-process under an
 opcode tracer: ``sys.settrace`` on the calling thread,
 ``threading.settrace`` for the threads started from then on (a wire
@@ -10,7 +10,7 @@ server's engine thread), and a loop callback for a wire server's
 event-loop thread, each frame with ``f_trace_opcodes`` on. It checks the
 counted replay's output (a wire replay must equal ``simulate()`` on the
 same trace; exit 1 otherwise) and prints the bytecodes executed per
-request by thread, by file and for the top functions.
+request by thread, by file (the top 15) and for the top 15 functions.
 
 Reading the counts:
 
@@ -42,6 +42,10 @@ from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 _STDLIB = sysconfig.get_paths()["stdlib"]
+#: The trace seed of every counted replay, and the files and functions
+#: listed.
+SEED = 0
+TOP = 15
 
 
 class OpCounter:
@@ -87,14 +91,14 @@ def _short(path: str) -> str:
     return path
 
 
-def count(name: str, n: int, seed: int) -> tuple[OpCounter, list[str]]:
+def count(name: str, n: int) -> tuple[OpCounter, list[str]]:
     """One warm-up replay, then one counted replay; returns the counts
     and the counted replay's output problems."""
     from repro.runtime.simulator import warm_caches
 
     from benchmarks.e2e import workloads
 
-    wl = workloads.make(name, n, seed)
+    wl = workloads.make(name, n, SEED)
     warm_caches(wl.models)
     counter = OpCounter()
     try:
@@ -116,7 +120,7 @@ def count(name: str, n: int, seed: int) -> tuple[OpCounter, list[str]]:
         finally:
             threading.settrace(None)  # type: ignore[arg-type]
         digest, problems, _counts = wl.check()
-        reference = workloads.reference_digest(name, n, seed)
+        reference = workloads.reference_digest(name, n, SEED)
         if reference is not None and digest != reference:
             problems.append(f"digest {digest} differs from simulate()'s {reference}")
     finally:
@@ -133,10 +137,10 @@ def _on_loop(loop: asyncio.AbstractEventLoop, fn: Callable | None) -> None:
     asyncio.run_coroutine_threadsafe(install(), loop).result(30)
 
 
-def report(counter: OpCounter, name: str, n: int, seed: int, top: int) -> str:
+def report(counter: OpCounter, name: str, n: int) -> str:
     total = sum(counter.totals(0).values())
     lines = [
-        f"opcount {name} n={n} seed={seed}: {total / n:,.1f} bytecodes per "
+        f"opcount {name} n={n} seed={SEED}: {total / n:,.1f} bytecodes per "
         f"request ({total:,} in all)"
     ]
 
@@ -149,12 +153,12 @@ def report(counter: OpCounter, name: str, n: int, seed: int, top: int) -> str:
             )
 
     section("by thread:", counter.totals(0), str, None)
-    section("by file:", counter.totals(1), _short, top)
+    section("by file:", counter.totals(1), _short, TOP)
     section(
-        f"top {top} functions (thread, file:function):",
+        f"top {TOP} functions (thread, file:function):",
         counter.totals(-1),
         lambda key: f"{key[0]}  {_short(key[1])}:{key[2]}",
-        top,
+        TOP,
     )
     return "\n".join(lines)
 
@@ -167,13 +171,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("workload")
     parser.add_argument("--n", type=int, default=3000, help="requests")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("--n must be positive")
-    counter, problems = count(args.workload, args.n, args.seed)
-    print(report(counter, args.workload, args.n, args.seed, args.top))
+    counter, problems = count(args.workload, args.n)
+    print(report(counter, args.workload, args.n))
     for problem in problems:
         print(f"output check failed: {problem}")
     return 1 if problems else 0

@@ -908,21 +908,17 @@ class ReplayReport:
 
 
 async def _completed(futures: list[asyncio.Future]) -> None:
-    """Wait for every future, raising the first failure.
-
-    After a lockstep DRAIN's ACK every future is already resolved (the
-    server answers each infer before the ACK), so they are read in order,
-    without the done callbacks of ``gather``; ``gather`` is the fallback
-    while some future is pending."""
-    for fut in futures:
-        if not fut.done():
-            await asyncio.gather(*futures)
-            return
+    """Wait for every future in order, then raise the first failure (each
+    one is retrieved on the way). After a lockstep DRAIN's ACK every
+    future is already resolved (the server answers each infer before the
+    ACK), so no await suspends."""
     error = None
     for fut in futures:
-        exc = fut.exception()  # marks every failure as retrieved
-        if exc is not None and error is None:
-            error = exc
+        try:
+            await fut
+        except Exception as exc:
+            if error is None:
+                error = exc
     if error is not None:
         raise error
 

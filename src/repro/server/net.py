@@ -30,9 +30,9 @@ consecutive INFER frames in one socket read, go through one call. On the
 way out, every outcome (a result, an unhappy terminal, a refusal)
 becomes one reply record, read off the settled request, and the
 connection renders its records in its codec: packed RESULT_BATCH frames
-on binary, one RESULT/ERROR frame per record on JSON (a served RESULT is
-formatted straight from its record). Echo rides the one in-flight ledger
-in both modes. Once a request is settled the server keeps nothing of it.
+on binary, one RESULT/ERROR frame per record on JSON. Echo rides the one
+in-flight ledger in both modes. Once a request is settled the server
+keeps nothing of it.
 
 The hot path is batched end to end: INFER_BATCH frames and runs of
 INFER frames land as whole arrival chunks on the lockstep engine's
@@ -98,8 +98,6 @@ from repro.server.protocol import (
     FrameDecoder,
     FrameType,
     ProtocolError,
-    _COMPACT_JSON,
-    _frame,
     encode_frame,
 )
 from repro.server.responder import InferenceHandle
@@ -410,7 +408,7 @@ class _Connection:
         reply renderer, for results and refusals alike."""
         if self.binary:
             return _packed_result_frames(records, self.model_idx)
-        return _json_result_frames(records, self.server._json_texts)
+        return _json_result_frames(records)
 
     def send(self, ftype: FrameType, payload: dict[str, Any]) -> bool:
         """Encode one control frame with the connection's codec and
@@ -548,54 +546,12 @@ def _packed_result_frames(
     return frames
 
 
-#: A served RESULT body in the key order, separators and number forms
-#: of ``encode_frame(FrameType.RESULT, payload)``; the model name, the
-#: plan and the echo arrive as JSON text.
-_RESULT_BODY = (
-    '{"id":%d,"model":%s,"arrival_ms":%r,"finish_ms":%r,"e2e_ms":%r,'
-    '"response_ratio":%r,"preemptions":%d,"retries":%d,"plan_ms":%s%s}'
-)
-_RESULT = int(FrameType.RESULT)
-
-
-def _json_result_frames(
-    records: list[tuple], texts: dict[str, tuple[str, dict[int, tuple]]]
-) -> list[bytes]:
-    """JSON rendering: one RESULT or ERROR frame per record.
-
-    A served record whose id is a plain int and whose four times are
-    finite floats is formatted straight into its RESULT body, byte for
-    byte what ``encode_frame`` makes of the payload dict. ``texts`` holds
-    each model's name as JSON text and the JSON text of its last two
-    plans, keyed by the plan object's identity (a model's split and
-    unsplit plan are shared tuples; an entry keeps its plan alive, so no
-    other plan can take its id). Only served records reach it, so it
-    holds at most one entry per deployed model. Every other record takes
-    ``encode_frame``. An ERROR omits a NaN ``arrival_ms`` (an infer
-    refused before it had a stamp): JSON has no NaN."""
+def _json_result_frames(records: list[tuple]) -> list[bytes]:
+    """JSON rendering: one RESULT or ERROR frame per record. An ERROR
+    omits a NaN ``arrival_ms`` (an infer refused before it had a stamp):
+    JSON has no NaN."""
     frames: list[bytes] = []
     for cid, tag, model, arrival, finish, e2e, rr, preempt, retries, plan, echo in records:
-        if tag == 0 and type(cid) is int:
-            # NaN or an infinity in any of the four makes the sum fail
-            # the test; a float subclass makes it fail the type check.
-            total = arrival + finish + e2e + rr
-            if type(total) is float and total - total == 0.0:
-                entry = texts.get(model)
-                if entry is None:
-                    entry = texts[model] = (_COMPACT_JSON.encode(model), {})
-                name, plans = entry
-                known = plans.get(id(plan))
-                if known is None:
-                    if len(plans) > 1:
-                        plans.clear()
-                    known = plans[id(plan)] = (plan, _COMPACT_JSON.encode(plan))
-                body = _RESULT_BODY % (
-                    cid, name, arrival, finish, e2e, rr, preempt, retries,
-                    known[1],
-                    "" if echo is None else ',"echo":' + _COMPACT_JSON.encode(echo),
-                )
-                frames.append(_frame(_RESULT, body.encode()))
-                continue
         plan_ms = list(plan) if plan is not None else None
         payload: dict[str, Any]
         if tag == 0:
@@ -688,10 +644,6 @@ class NetServer:
         #: request (per-op dict access is GIL-atomic and keys never
         #: collide).
         self._pending: dict[int, tuple[_Connection, int, Any, Request]] = {}
-        #: Per deployed model, its name and last plans as JSON text, for
-        #: the served RESULT frames of JSON connections (see
-        #: :func:`_json_result_frames`).
-        self._json_texts: dict[str, tuple[str, dict[int, tuple]]] = {}
         if mode == "lockstep":
             self._core = _LockstepCore(
                 SequentialEngine(SplitScheduler(), robustness=robustness),

@@ -44,6 +44,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import ServerError
@@ -149,12 +150,26 @@ def _frame(ftype: int, body: bytes) -> bytes:
 #: non-default argument builds a fresh encoder per call. ``encode``
 #: keeps no state on the encoder, so threads share it safely.
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+#: The C encoder that ``_COMPACT_JSON.encode`` builds afresh for every
+#: payload, built once with the same settings: the same text without the
+#: per-call setup. It skips the circular-reference check (a cyclic
+#: payload raises RecursionError instead of ValueError). None where the
+#: C accelerator is missing.
+_make_c_encoder = getattr(json.encoder, "c_make_encoder", None)
+_C_JSON = None if _make_c_encoder is None else _make_c_encoder(
+    None, _COMPACT_JSON.default, encode_basestring_ascii,
+    _COMPACT_JSON.indent, _COMPACT_JSON.key_separator,
+    _COMPACT_JSON.item_separator, _COMPACT_JSON.sort_keys,
+    _COMPACT_JSON.skipkeys, _COMPACT_JSON.allow_nan,
+)
 
 
 def _json_body(payload: dict[str, Any] | None) -> bytes:
     if payload is None:
         return b""
-    return _COMPACT_JSON.encode(payload).encode("utf-8")
+    if _C_JSON is None:
+        return _COMPACT_JSON.encode(payload).encode("utf-8")
+    return "".join(_C_JSON(payload, 0)).encode("utf-8")
 
 
 def _decode_json_body(body: memoryview) -> dict[str, Any]:
@@ -427,12 +442,13 @@ class FrameDecoder:
 
     Feed arbitrary byte chunks; complete frames come out in order. The
     decoder parses over a :class:`memoryview` of the fed chunk, so a
-    ``bytes`` chunk carrying whole frames is never copied — only a
-    trailing partial frame is buffered between feeds, and a mutable
-    chunk is copied once, because a binary INFER_BATCH payload reads it
-    after the call (the JSON codec pays one payload copy per frame,
-    because ``json.loads`` needs ``bytes``; the binary codec unpacks
-    records straight off the view).
+    ``bytes`` chunk carrying whole frames is never copied — the
+    undecoded rest of a chunk stays in it, behind a start offset, and
+    only a trailing partial frame is copied, when the next chunk is
+    joined to it. A mutable chunk is copied once, because a binary
+    INFER_BATCH payload reads it after the call (the JSON codec pays one
+    payload copy per frame, because ``json.loads`` needs ``bytes``; the
+    binary codec unpacks records straight off the view).
 
     The decoder is *stateful*: after any :class:`ProtocolError` the
     stream offset is untrustworthy, so the connection must be dropped
@@ -446,7 +462,9 @@ class FrameDecoder:
     """
 
     def __init__(self, codec: JsonCodec | BinaryCodecV2 = JSON_CODEC) -> None:
+        #: The undecoded bytes are ``_buf[_start:]``.
         self._buf = b""
+        self._start = 0
         self._codec = codec
         self._poisoned: ProtocolError | None = None
 
@@ -463,13 +481,18 @@ class FrameDecoder:
         including the first HELLO or ACK (see the class docstring)."""
         if self._poisoned is not None:
             raise self._poisoned
-        if self._buf or type(data) is not bytes:
-            data = self._buf + bytes(data)
+        off = self._start
+        if not data:
+            data = self._buf
+        elif self._buf:
+            data = self._buf[off:] + data
+            off = 0
+        elif type(data) is not bytes:
+            data = bytes(data)
         view = memoryview(data)
         total = len(view)
         header_size = _HEADER.size
         out: list[tuple[FrameType, Any]] = []
-        off = 0
         try:
             while total - off >= header_size:
                 (length,) = _HEADER.unpack_from(view, off)
@@ -500,25 +523,27 @@ class FrameDecoder:
         except ProtocolError as exc:
             self._poisoned = exc
             self._buf = b""
+            self._start = 0
             raise
-        # ``data`` is an immutable bytes object here: nothing decoded means
-        # it can be kept as it is.
-        if not off:
+        # ``data`` is an immutable bytes object here, kept as it is.
+        if off < total:
             self._buf = data
+            self._start = off
         else:
-            self._buf = bytes(view[off:]) if off < total else b""
+            self._buf = b""
+            self._start = 0
         return out
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered towards an incomplete frame."""
-        return len(self._buf)
+        return len(self._buf) - self._start
 
     def eof(self) -> None:
         """Assert the stream ended on a frame boundary."""
-        if self._buf:
+        if self.pending_bytes:
             raise TruncatedFrame(
-                f"stream ended mid-frame with {len(self._buf)} bytes buffered"
+                f"stream ended mid-frame with {self.pending_bytes} bytes buffered"
             )
 
 

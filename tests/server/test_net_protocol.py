@@ -11,12 +11,14 @@ untyped exception, or desynchronise silently.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.server import protocol
 from repro.server.protocol import (
     MAX_FRAME,
     BadFrame,
@@ -84,6 +86,28 @@ def test_roundtrip_survives_arbitrary_chunking(frames, cut_points):
     assert decoder.pending_bytes == 0
 
 
+def test_a_handshake_stop_copies_nothing():
+    """A read packed with HELLO frames comes out one frame per feed, each
+    parsed in place: the decoder keeps the read itself behind an offset
+    instead of copying its rest at every stop, so the work stays linear
+    in the read."""
+    hello = encode_frame(FrameType.HELLO, {})
+    tail = encode_frame(FrameType.STATS, {"n": 1})
+    wire = hello * 1000 + tail[:3]
+    decoder = FrameDecoder()
+    stops = 0
+    got = decoder.feed(wire)
+    while got:
+        assert got == [(FrameType.HELLO, {})]
+        stops += 1
+        assert decoder._buf is wire
+        assert decoder.pending_bytes == len(wire) - stops * len(hello)
+        got = decoder.feed(b"")
+    assert stops == 1000
+    assert decoder.feed(tail[3:]) == [(FrameType.STATS, {"n": 1})]
+    assert decoder.pending_bytes == 0
+
+
 # Any float the encoder may meet, NaN and the infinities included.
 _any_values = st.recursive(
     st.one_of(_scalars, st.floats(width=64)),
@@ -101,12 +125,27 @@ _any_values = st.recursive(
     payload=st.dictionaries(st.text(max_size=10), _any_values, max_size=6),
 )
 def test_shared_encoder_writes_the_per_call_dumps_bytes(ftype, payload):
-    """The one module-level compact encoder frames every payload exactly
-    as ``json.dumps(..., separators=(",", ":"))`` did per call."""
+    """The one module-level compact encoder (its C encoder built once)
+    frames every payload exactly as ``json.dumps(..., separators=(",",
+    ":"))`` did per call."""
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     expected = struct.pack("!I", 1 + len(body)) + bytes([int(ftype)]) + body
     assert encode_frame(ftype, payload) == expected
     assert JsonCodec().encode(ftype, payload) == expected
+
+
+def test_fallback_encoder_writes_the_same_bytes(monkeypatch):
+    """Where the C accelerator is missing, bodies take
+    ``_COMPACT_JSON.encode``: the same frames."""
+    payloads = [
+        {"id": 7, "model": 'quo"te', "arrival_ms": -0.0, "plan_ms": [5e-324],
+         "echo": {"k": [1, None, True]}},
+        {"id": 8, "code": "failed", "model": "café", "e2e_ms": math.nan,
+         "finish_ms": -math.inf},
+    ]
+    expected = [encode_frame(FrameType.RESULT, p) for p in payloads]
+    monkeypatch.setattr(protocol, "_C_JSON", None)
+    assert [encode_frame(FrameType.RESULT, p) for p in payloads] == expected
 
 
 @given(ftype=_ftypes)
